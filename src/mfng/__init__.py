@@ -29,7 +29,6 @@ from .errors import (
 from .features import (
     DegreeDistribution,
     Graph,
-    brute_force_counts,
     clustering_coefficient,
     count_4cliques,
     count_stars,
@@ -38,7 +37,7 @@ from .features import (
     feature_vector,
     from_edge_list,
 )
-from .fit import FitConfig, FitResult, fit, local_optimize, objective, random_init
+from .fit import FitConfig, FitResult, fit
 from .measure import (
     DEFAULT_FEATURES,
     CliqueNumberEstimate,
@@ -57,24 +56,9 @@ from .measure import (
     parse_feature,
     validate_measure,
 )
-from .oracle import (
-    McStats,
-    exact_expected_features,
-    exact_subgraph_probability,
-    mc_feature_stats,
-)
 from .sampler import (
-    CategoryAssignment,
-    CategoryIndex,
     FastSamplerConfig,
-    NoiseSchedule,
-    QTable,
-    assign_categories,
-    build_q,
-    decode_categories,
-    encode_categories,
     fast_sample,
-    make_noise_schedule,
     naive_sample,
     noisy_sample,
     sample_by_intersection,

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     StalledError,
 )
-from .fit import FitConfig, _expected_feature, fit as fit_measure
+from .fit import FitConfig, fit as fit_measure
 from .features import (
     degree_distribution,
     feature_vector,
@@ -119,16 +119,17 @@ def read_measure(path: str) -> GeneratingMeasure:
         raise SchemaError(
             f"{path}: unsupported schema_version {doc['schema_version']!r}")
     m, k = doc["m"], doc["k"]
-    if not isinstance(m, int) or not isinstance(k, int):
+    # Exact type checks: JSON true/false load as bool, a subclass of int.
+    if type(m) is not int or type(k) is not int:
         raise SchemaError(f"{path}: m and k must be integers")
     lengths = doc["lengths"]
     probs = doc["probs"]
     if (not isinstance(lengths, list) or len(lengths) != m
-            or not all(isinstance(x, (int, float)) for x in lengths)):
+            or not all(type(x) in (int, float) for x in lengths)):
         raise SchemaError(f"{path}: lengths must be a list of {m} numbers")
     if (not isinstance(probs, list) or len(probs) != m
             or not all(isinstance(row, list) and len(row) == m
-                       and all(isinstance(x, (int, float)) for x in row)
+                       and all(type(x) in (int, float) for x in row)
                        for row in probs)):
         raise SchemaError(f"{path}: probs must be a {m}x{m} matrix")
     return make_measure(lengths, probs, k)
@@ -217,10 +218,9 @@ def cmd_fit(args) -> int:
     sys.stdout.write(
         f"fit: m={args.m} k={result.k} objective={_fmt(result.objective)} "
         f"restart={result.restart} of {result.restarts}\n")
-    rows = []
-    for key, observed in target.items():
-        expected = _expected_feature(result.measure, graph.n, key)
-        rows.append((key, str(observed), _fmt(expected), _fmt(result.ratios[key])))
+    expected = expected_feature_vector(result.measure, graph.n, target.keys())
+    rows = [(key, str(observed), _fmt(expected.value(key)), _fmt(result.ratios[key]))
+            for key, observed in target.items()]
     _emit_table(rows, ("feature", "actual", "expected", "ratio"), args.format, sys.stdout)
     write_measure(result.measure, args.out)
     sys.stdout.write(f"wrote measure to {args.out}\n")
@@ -358,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
     except StalledError as exc:

@@ -59,7 +59,17 @@ class AllZeroMeasureError(MfngError):
 
 
 class StalledError(MfngError, RuntimeError):
-    """The fast sampler stopped making progress before hitting its target."""
+    """The fast sampler stopped making progress before hitting its target.
+
+    ``placed`` and ``target`` are the edge counts reached and aimed for, and
+    ``streak`` is the run of consecutive boxes that placed nothing.
+    """
+
+    def __init__(self, message, placed=None, target=None, streak=None):
+        super().__init__(message)
+        self.placed = placed
+        self.target = target
+        self.streak = streak
 
 
 class UnsupportedMError(MfngError, ValueError):

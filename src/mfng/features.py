@@ -91,11 +91,6 @@ class Graph:
         """Sorted neighbor ids of v (a read-only view)."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return pos < nbrs.size and nbrs[pos] == v
-
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))

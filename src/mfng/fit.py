@@ -133,7 +133,13 @@ def objective(
     weights: Mapping[str, float] | None = None,
 ) -> float:
     """Weighted relative moment mismatch; +inf if an expectation blows up."""
-    items = _target_items(target, weights)
+    return _loss(measure, n, _target_items(target, weights))
+
+
+def _loss(
+    measure: GeneratingMeasure, n: int, items: Sequence[tuple[str, float, float]]
+) -> float:
+    """The objective over pre-validated (key, observed, weight) triples."""
     total = 0.0
     for key, observed, w in items:
         expected = _expected_feature(measure, n, key)
@@ -180,7 +186,9 @@ def _decode_params(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     if m > 1:
         raw = np.concatenate([[0.0], x[n_tri:]])
         raw = np.exp(raw - raw.max())
-        lengths = raw / raw.sum()
+        # A length that underflows to zero would fail validation and abort
+        # the whole fit; the floor changes no value that did not underflow.
+        lengths = np.maximum(raw / raw.sum(), np.finfo(float).tiny)
     else:
         lengths = np.ones(1)
     return probs, lengths
@@ -207,14 +215,7 @@ def local_optimize(
 
     def loss(x: np.ndarray) -> float:
         p, l = _decode_params(x, m)
-        meas = GeneratingMeasure(m=m, k=k, lengths=l, probs=p)
-        total = 0.0
-        for key, observed, w in items:
-            expected = _expected_feature(meas, n, key)
-            if not math.isfinite(expected):
-                return math.inf
-            total += w * abs(observed - expected) / observed
-        return total
+        return _loss(GeneratingMeasure(m=m, k=k, lengths=l, probs=p), n, items)
 
     x0 = _encode_params(np.asarray(probs, dtype=float), np.asarray(lengths, dtype=float))
     result = minimize(
@@ -227,7 +228,7 @@ def local_optimize(
     for x in candidates:
         p, l = _decode_params(x, m)
         meas = validate_measure(GeneratingMeasure(m=m, k=k, lengths=l, probs=p))
-        obj = objective(meas, n, target, weights)
+        obj = _loss(meas, n, items)
         if obj < best_obj:
             best_measure, best_obj = meas, obj
     return best_measure, best_obj

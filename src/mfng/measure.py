@@ -17,11 +17,12 @@ nodes never overflow.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -248,47 +249,19 @@ def _star_survival(probs: np.ndarray, lengths: np.ndarray, d: int) -> float:
     return float(np.dot(lengths, row ** d))
 
 
-@lru_cache(maxsize=32)
-def _tuple_grid(m: int, t: int) -> np.ndarray:
-    """All category t-tuples over m categories as a (t, m**t) digit array."""
-    return np.indices((m,) * t).reshape(t, -1)
-
-
-_GRID_CELL_CAP = 1 << 20
-
-
 def _clique_survival(probs: np.ndarray, lengths: np.ndarray, t: int) -> float:
     """Per-level survival of a t-clique: sum over category tuples of the
     product of all pairwise link probabilities, weighted by the tuple mass.
+
+    One einsum over t length vectors and C(t, 2) copies of the matrix; no
+    m**t grid is ever materialized.
     """
-    if t == 1:
-        return float(lengths.sum())
-    if t == 2:
+    if t == 2:  # edge_survival_factor's arithmetic, so C2 equals the edge count
         return float(lengths @ probs @ lengths)
-    m = lengths.shape[0]
-    n_tuples = m ** t
-    if n_tuples <= _GRID_CELL_CAP:
-        digits = _tuple_grid(m, t)
-        w = lengths[digits].prod(axis=0)
-        for a in range(t):
-            for b in range(a + 1, t):
-                w = w * probs[digits[a], digits[b]]
-        return float(w.sum())
-    # Chunked enumeration for large m**t.
-    total = 0.0
-    for start in range(0, n_tuples, _GRID_CELL_CAP):
-        flat = np.arange(start, min(start + _GRID_CELL_CAP, n_tuples), dtype=np.int64)
-        digits = np.empty((t, flat.size), dtype=np.int64)
-        rem = flat
-        for pos in range(t - 1, -1, -1):
-            digits[pos] = rem % m
-            rem = rem // m
-        w = lengths[digits].prod(axis=0)
-        for a in range(t):
-            for b in range(a + 1, t):
-                w = w * probs[digits[a], digits[b]]
-        total += float(w.sum())
-    return total
+    nodes = string.ascii_lowercase[:t]
+    pairs = [a + b for a, b in itertools.combinations(nodes, 2)]
+    spec = ",".join([*nodes, *pairs]) + "->"
+    return float(np.einsum(spec, *[lengths] * t, *[probs] * len(pairs)))
 
 
 def _log_comb(n: int, r: int) -> float:
@@ -342,8 +315,9 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     return math.exp(_log_comb(n, t) + measure.k * math.log(base))
 
 
-def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
-    """Edge-count mean and variance.
+def _edge_moments_from_logs(n: int, log_s: float, log_wedge: float) -> EdgeMoments:
+    """Edge-count moments from the log survival of one pair and of a wedge
+    over all levels (-inf for a wedge that cannot survive).
 
     The variance is mean*(1-mean) + 2*E[S_2] + C(n,2)*C(n-2,2)*s**(2k); the
     wedge and disjoint-pair terms vanish on their own below n = 3 and n = 4
@@ -351,15 +325,9 @@ def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
     between -mean**2 and the disjoint-pair term, the two are combined
     analytically: C(n,2)*(C(n-2,2) - C(n,2)) = C(n,2)*(3 - 2n).
     """
-    if n < 2:
-        raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    k = measure.k
-    s = edge_survival_factor(measure)
-    if s <= 0.0:
-        return EdgeMoments(0.0, 0.0, 0.0)
-    mean = math.exp(_log_comb(n, 2) + k * math.log(s))
-    wedges = expected_d_stars(measure, n, 2) if n >= 3 else 0.0
-    cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * k * math.log(s))
+    mean = math.exp(_log_comb(n, 2) + log_s)
+    wedges = math.exp(math.log(n) + _log_comb(n - 1, 2) + log_wedge) if n >= 3 else 0.0
+    cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * log_s)
     variance = mean + 2.0 * wedges + cross
     if variance < 0.0:
         if abs(variance) <= 1e-9 * mean * mean:
@@ -368,6 +336,19 @@ def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
             raise ArithmeticError(
                 f"edge variance came out negative ({variance!r}) beyond rounding noise")
     return EdgeMoments(mean=mean, variance=variance, std=math.sqrt(variance))
+
+
+def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
+    """Edge-count mean and variance (see :func:`_edge_moments_from_logs`)."""
+    if n < 2:
+        raise DomainError(f"edge_moments needs n >= 2, got {n}")
+    k = measure.k
+    s = edge_survival_factor(measure)
+    if s <= 0.0:
+        return EdgeMoments(0.0, 0.0, 0.0)
+    wedge = _star_survival(measure.probs, measure.lengths, 2)
+    log_wedge = k * math.log(wedge) if wedge > 0.0 else -math.inf
+    return _edge_moments_from_logs(n, k * math.log(s), log_wedge)
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int, exact: bool = False):

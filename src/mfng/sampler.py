@@ -22,7 +22,7 @@ reproduces the corresponding plain sampler bit for bit at a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedMError,
 )
 from .features import Graph
-from .measure import GeneratingMeasure, _log_comb
+from .measure import EdgeMoments, GeneratingMeasure, _edge_moments_from_logs
 
 # Box draws, Poisson draws, and placement attempts are generated in batches
 # of this many boxes at a time; purely an implementation constant.
@@ -58,42 +58,11 @@ def _as_generator(rng) -> np.random.Generator:
 # category assignment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CategoryAssignment:
-    """Per-node category tuples.
-
-    ``levels[v, r]`` is node v's category at level r; ``codes[v]`` packs the
-    tuple base-m into one integer (most significant digit first), and
-    ``leaf_lengths[v]`` is the product of the interval lengths along the
-    tuple — the measure of the node's leaf cell.
-    """
-
-    m: int
-    levels: np.ndarray
-    codes: np.ndarray
-    leaf_lengths: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.levels.shape[1]
-
-
 def encode_categories(levels: np.ndarray, m: int) -> np.ndarray:
     """Pack per-level category rows base-m into int64 codes."""
     k = levels.shape[-1]
     powers = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
     return levels @ powers
-
-
-def decode_categories(codes: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Inverse of :func:`encode_categories`; returns (..., k) digit arrays."""
-    codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty(codes.shape + (k,), dtype=np.int64)
-    rem = codes
-    for pos in range(k - 1, -1, -1):
-        out[..., pos] = rem % m
-        rem = rem // m
-    return out
 
 
 def _draw_levels(n: int, k: int, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -104,21 +73,10 @@ def _draw_levels(n: int, k: int, lengths: np.ndarray, rng: np.random.Generator) 
                       lengths.shape[0] - 1).astype(np.int64)
 
 
-def assign_categories(n: int, measure: GeneratingMeasure, rng=None) -> CategoryAssignment:
-    """Draw every node's category tuple (i.i.d. across nodes and levels)."""
-    if n < 0:
-        raise DomainError(f"node count must be nonnegative, got {n}")
-    rng = _as_generator(rng)
-    levels = _draw_levels(n, measure.k, measure.lengths, rng)
-    codes = encode_categories(levels, measure.m)
-    leaf = measure.lengths[levels].prod(axis=1) if n else np.zeros(0)
-    return CategoryAssignment(m=measure.m, levels=levels, codes=codes, leaf_lengths=leaf)
-
-
 class CategoryIndex:
     """Nodes grouped by encoded category tuple, with vectorized lookup."""
 
-    def __init__(self, codes: np.ndarray, leaf_lengths: np.ndarray):
+    def __init__(self, codes: np.ndarray):
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         unique, starts, counts = np.unique(
@@ -127,11 +85,6 @@ class CategoryIndex:
         self.starts = starts
         self.counts = counts
         self.nodes = order  # node ids grouped by code
-        self.group_lengths = leaf_lengths[order[starts]] if unique.size else np.zeros(0)
-
-    @classmethod
-    def from_assignment(cls, assignment: CategoryAssignment) -> "CategoryIndex":
-        return cls(assignment.codes, assignment.leaf_lengths)
 
     @property
     def group_count(self) -> int:
@@ -150,17 +103,32 @@ class CategoryIndex:
         start = self.starts[pos]
         return self.nodes[start:start + self.counts[pos]]
 
-    def node_lists(self) -> dict[int, list[int]]:
-        """Mapping view (mainly for inspection and tests)."""
-        return {int(code): self.nodes_at(i).tolist()
-                for i, code in enumerate(self.codes)}
-
 
 # ---------------------------------------------------------------------------
 # exact samplers
 # ---------------------------------------------------------------------------
 
 _PAIR_BLOCK = 512
+
+
+def _scan_pairs(n: int, pair_prob, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One Bernoulli draw per node pair u < v, a block of rows at a time.
+
+    ``pair_prob(u0, u1)`` returns the link probabilities of rows u0..u1-1
+    against all n columns; the hits come back as endpoint arrays in row-major
+    order.
+    """
+    us, vs = [], []
+    cols = np.arange(n, dtype=np.int64)
+    for u0 in range(0, n, _PAIR_BLOCK):
+        u1 = min(u0 + _PAIR_BLOCK, n)
+        rows = np.arange(u0, u1, dtype=np.int64)[:, None]
+        mask = cols[None, :] > rows
+        p = pair_prob(u0, u1)[mask]
+        hit = rng.random(p.size) < p
+        us.append(np.broadcast_to(rows, mask.shape)[mask][hit])
+        vs.append(np.broadcast_to(cols[None, :], mask.shape)[mask][hit])
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
@@ -173,27 +141,17 @@ def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     if n < 1:
         raise DomainError(f"naive_sample needs n >= 1, got {n}")
     rng = _as_generator(rng)
-    assignment = assign_categories(n, measure, rng)
-    levels = assignment.levels
+    levels = _draw_levels(n, measure.k, measure.lengths, rng)
     probs = measure.probs
-    k = measure.k
-    us, vs = [], []
-    cols = np.arange(n, dtype=np.int64)
-    for u0 in range(0, n, _PAIR_BLOCK):
-        u1 = min(u0 + _PAIR_BLOCK, n)
-        block = levels[u0:u1]
-        pair_prob = np.ones((u1 - u0, n))
-        for r in range(k):
-            pair_prob *= probs[block[:, r][:, None], levels[:, r][None, :]]
-        rows = np.arange(u0, u1, dtype=np.int64)[:, None]
-        mask = cols[None, :] > rows
-        p = pair_prob[mask]
-        hit = rng.random(p.size) < p
-        us.append(np.broadcast_to(rows, mask.shape)[mask][hit])
-        vs.append(np.broadcast_to(cols[None, :], mask.shape)[mask][hit])
-    if not us:
-        return Graph.empty(n)
-    return Graph.from_pairs(n, np.column_stack([np.concatenate(us), np.concatenate(vs)]))
+
+    def pair_prob(u0: int, u1: int) -> np.ndarray:
+        prob = np.ones((u1 - u0, n))
+        for r in range(measure.k):
+            prob *= probs[levels[u0:u1, r][:, None], levels[:, r][None, :]]
+        return prob
+
+    iu, iv = _scan_pairs(n, pair_prob, rng)
+    return Graph.from_pairs(n, np.column_stack([iu, iv]))
 
 
 def _check_level_matrix(probs: np.ndarray, m: int) -> np.ndarray:
@@ -230,28 +188,15 @@ def sample_by_intersection(
 
     # Level 1 scans all pairs blockwise; the survivors shrink fast.
     cats = _draw_levels(n, 1, lengths, rng)[:, 0]
-    probs = matrices[0]
-    us, vs = [], []
-    cols = np.arange(n, dtype=np.int64)
-    for u0 in range(0, n, _PAIR_BLOCK):
-        u1 = min(u0 + _PAIR_BLOCK, n)
-        pair_prob = probs[cats[u0:u1][:, None], cats[None, :]]
-        rows = np.arange(u0, u1, dtype=np.int64)[:, None]
-        mask = cols[None, :] > rows
-        p = pair_prob[mask]
-        hit = rng.random(p.size) < p
-        us.append(np.broadcast_to(rows, mask.shape)[mask][hit])
-        vs.append(np.broadcast_to(cols[None, :], mask.shape)[mask][hit])
-    iu = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
-    iv = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
+    first = matrices[0]
+    iu, iv = _scan_pairs(
+        n, lambda u0, u1: first[cats[u0:u1][:, None], cats[None, :]], rng)
 
     for probs in matrices[1:]:
         cats = _draw_levels(n, 1, lengths, rng)[:, 0]
         p = probs[cats[iu], cats[iv]]
         keep = rng.random(p.size) < p
         iu, iv = iu[keep], iv[keep]
-    if iu.size == 0:
-        return Graph.empty(n)
     return Graph.from_pairs(n, np.column_stack([iu, iv]))
 
 
@@ -323,15 +268,14 @@ class FastSamplerConfig:
 
 def _target_edge_moments(
     n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray
-) -> tuple[float, float]:
-    """Edge-count mean and std with per-level survival factors.
+) -> EdgeMoments:
+    """Edge-count moments with per-level survival factors.
 
-    The same closed forms as the single-matrix moments, with s**k and the
-    wedge survival replaced by products over levels.
+    The same closed forms as :func:`edge_moments`, with k * log s and the
+    wedge term replaced by sums of per-level logs.
     """
     log_s = 0.0
     log_wedge = 0.0
-    wedge_zero = False
     for probs in matrices:
         s_i = float(lengths @ probs @ lengths)
         if s_i <= 0.0:
@@ -339,22 +283,8 @@ def _target_edge_moments(
         log_s += math.log(s_i)
         row = probs @ lengths
         w_i = float(np.dot(lengths, row ** 2))
-        if w_i <= 0.0:
-            wedge_zero = True
-        else:
-            log_wedge += math.log(w_i)
-    mean = math.exp(_log_comb(n, 2) + log_s)
-    if n >= 3 and not wedge_zero:
-        wedges = math.exp(math.log(n) + _log_comb(n - 1, 2) + log_wedge)
-    else:
-        wedges = 0.0
-    cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * log_s)
-    variance = mean + 2.0 * wedges + cross
-    if variance < 0.0:
-        variance = 0.0 if abs(variance) <= 1e-9 * mean * mean else variance
-        if variance < 0.0:
-            raise ArithmeticError(f"edge variance came out negative: {variance!r}")
-    return mean, math.sqrt(variance)
+        log_wedge += math.log(w_i) if w_i > 0.0 else -math.inf
+    return _edge_moments_from_logs(n, log_s, log_wedge)
 
 
 def fast_sample(
@@ -381,14 +311,11 @@ def _fast_sample_levels(
     k = len(matrices)
     tables = [build_q(p, lengths) for p in matrices]
 
-    mean, std = _target_edge_moments(n, matrices, lengths)
+    moments = _target_edge_moments(n, matrices, lengths)
     max_edges = math.comb(n, 2)
-    target = int(min(max(rng.normal(mean, std), 0.0), float(max_edges)))
+    target = int(min(max(rng.normal(moments.mean, moments.std), 0.0), float(max_edges)))
 
-    levels = _draw_levels(n, k, lengths, rng)
-    codes = encode_categories(levels, m)
-    leaf = lengths[levels].prod(axis=1)
-    index = CategoryIndex(codes, leaf)
+    index = CategoryIndex(encode_categories(_draw_levels(n, k, lengths, rng), m))
 
     graph_nodes = index.nodes
     if target == 0:
@@ -400,6 +327,16 @@ def _fast_sample_levels(
     edge_keys: set[int] = set()
     e_global = 0
     consecutive_rejects = 0
+
+    def reject(boxes: int) -> None:
+        """Count boxes that placed nothing; give up once the streak is too long."""
+        nonlocal consecutive_rejects
+        consecutive_rejects += boxes
+        if consecutive_rejects > max_rejects:
+            raise StalledError(
+                f"no edge placed in {consecutive_rejects} consecutive boxes "
+                f"({e_global} of {target} edges placed)",
+                placed=e_global, target=target, streak=consecutive_rejects)
 
     # Placement coordinates are pre-drawn vectorized for the boxes that will
     # actually try to place; a short prefix covers almost every box, and the
@@ -463,11 +400,7 @@ def _fast_sample_levels(
             gap = b - prev - 1
             prev = b
             if gap:
-                consecutive_rejects += gap
-                if consecutive_rejects > max_rejects:
-                    raise StalledError(
-                        f"no edge placed in {consecutive_rejects} consecutive boxes "
-                        f"({e_global} of {target} edges placed)")
+                reject(gap)
             if e_global >= target:
                 done = True
                 break
@@ -496,22 +429,12 @@ def _fast_sample_levels(
                 placed += 1
             e_global += placed
             if placed == 0:
-                consecutive_rejects += 1
-                if consecutive_rejects > max_rejects:
-                    raise StalledError(
-                        f"no edge placed in {consecutive_rejects} consecutive boxes "
-                        f"({e_global} of {target} edges placed)")
+                reject(1)
             else:
                 consecutive_rejects = 0
         if not done:
-            consecutive_rejects += batch - 1 - prev
-            if consecutive_rejects > max_rejects:
-                raise StalledError(
-                    f"no edge placed in {consecutive_rejects} consecutive boxes "
-                    f"({e_global} of {target} edges placed)")
+            reject(batch - 1 - prev)
 
-    if not edge_keys:
-        return Graph.empty(n)
     keys = np.fromiter(edge_keys, dtype=np.int64, count=len(edge_keys))
     return Graph.from_pairs(n, np.column_stack([keys // n, keys % n]))
 

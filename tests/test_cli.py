@@ -73,6 +73,11 @@ def test_measure_file_is_schema_checked(tmp_path):
         lambda d: d.update(schema_version=99),
         lambda d: d.update(probs=[[0.5], [0.5]]),
         lambda d: d.update(k="three"),
+        # JSON booleans are Python ints; none of them is a number here
+        lambda d: d.update(m=True),
+        lambda d: d.update(k=True),
+        lambda d: d.update(lengths=[True]),
+        lambda d: d.update(probs=[[True]]),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)
@@ -258,6 +263,31 @@ def test_data_error_invalid_measure(capsys, tmp_path):
     code, _, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
     assert code == EXIT_DATA
     assert "symmetric" in err
+
+
+def test_data_error_boolean_measure(capsys, tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "m": True, "k": True,
+        "lengths": [True], "probs": [[True]],
+    }))
+    code, out, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ("sample", "--measure", "{measure}", "--nodes", "50"),
+    ("degree-dist", "--graph", "{graph}"),
+    ("fit", "--graph", "{graph}", "--m", "2", "--k", "4", "--restarts", "1"),
+])
+def test_data_error_output_is_a_directory(capsys, tmp_path, block_file, graph_file,
+                                          command):
+    argv = [a.format(measure=block_file, graph=graph_file) for a in command]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_runtime_error_stalled_sampler(capsys, tmp_path):

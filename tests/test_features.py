@@ -50,11 +50,11 @@ def test_edge_array_round_trip():
     assert again == g
 
 
-def test_neighbors_and_has_edge():
+def test_neighbors():
     g = mfng.from_edge_list([(0, 1), (1, 2)])
     assert g.neighbors(1).tolist() == [0, 2]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert g.neighbors(0).tolist() == [1]
+    assert g.neighbors(2).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

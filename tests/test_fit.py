@@ -1,13 +1,26 @@
 """Moment-matching objective and the restart/depth-sweep fitter."""
 
+import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mfng
 from mfng import DomainError, ZeroTargetFeatureError
-from mfng.fit import FitConfig, local_optimize, max_depth, objective, random_init
+from mfng.fit import (
+    FitConfig,
+    _decode_params,
+    _encode_params,
+    local_optimize,
+    max_depth,
+    objective,
+    random_init,
+)
+
+# mfng.fit the attribute is the fit function; the module is needed here
+fit_module = importlib.import_module("mfng.fit")
 
 
 def exact_target(measure, n, features=("edges", "S2", "S3", "S4", "C3", "C4")):
@@ -90,6 +103,30 @@ def test_local_optimize_improves_a_rough_start(block_measure_k4):
         mfng.make_measure(lengths0, probs0, k=4), n, target)
     _, obj = local_optimize(probs0, lengths0, 4, n, target)
     assert obj < start_obj
+
+
+UNDERFLOWING = np.array([0.0, 0.0, 0.0, -800.0])  # m=2: exp(-800) is 0.0
+
+
+def test_decode_params_floors_underflowed_lengths():
+    _, lengths = _decode_params(UNDERFLOWING, 2)
+    assert lengths.tolist() == [1.0, np.finfo(float).tiny]
+    # a point that does not underflow decodes bit for bit as it did unfloored
+    x = _encode_params(np.array([[0.6, 0.3], [0.3, 0.2]]), np.array([0.35, 0.65]))
+    raw = np.exp(np.array([0.0, x[3]]) - max(0.0, x[3]))
+    assert np.array_equal(_decode_params(x, 2)[1], raw / raw.sum())
+
+
+def test_local_optimize_survives_an_underflowed_length(monkeypatch, block_measure_k4):
+    n = 400
+    target = exact_target(block_measure_k4, n)
+    monkeypatch.setattr(fit_module, "minimize",
+                        lambda *args, **kwargs: SimpleNamespace(x=UNDERFLOWING))
+    probs0 = np.array([[0.5, 0.5], [0.5, 0.5]])
+    lengths0 = np.array([0.5, 0.5])
+    meas, obj = local_optimize(probs0, lengths0, 4, n, target)
+    assert np.all(meas.lengths > 0.0)
+    assert math.isfinite(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from mfng import (
 from mfng.sampler import (
     CategoryIndex,
     FastSamplerConfig,
+    _draw_levels,
     _target_edge_moments,
-    assign_categories,
     build_q,
-    decode_categories,
     encode_categories,
     make_noise_schedule,
 )
@@ -29,22 +28,32 @@ def spawned(base, *key):
     return np.random.default_rng(np.random.SeedSequence(base, spawn_key=key))
 
 
+def decode_categories(codes, m, k):
+    """Inverse of encode_categories: (..., k) base-m digit arrays."""
+    out = np.empty(np.shape(codes) + (k,), dtype=np.int64)
+    rem = np.asarray(codes, dtype=np.int64)
+    for pos in range(k - 1, -1, -1):
+        out[..., pos] = rem % m
+        rem = rem // m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # categories
 # ---------------------------------------------------------------------------
 
 def test_assignment_shapes_and_ranges(block_measure):
-    a = assign_categories(100, block_measure, np.random.default_rng(0))
-    assert a.levels.shape == (100, 10)
-    assert a.levels.min() >= 0 and a.levels.max() < 2
-    assert np.all(a.codes < 2**10)
-    assert np.all(a.leaf_lengths > 0)
+    levels = _draw_levels(100, block_measure.k, block_measure.lengths,
+                          np.random.default_rng(0))
+    assert levels.shape == (100, 10)
+    assert levels.min() >= 0 and levels.max() < 2
+    assert np.all(encode_categories(levels, 2) < 2**10)
 
 
 def test_assignment_deterministic(block_measure):
-    a = assign_categories(50, block_measure, np.random.default_rng(123))
-    b = assign_categories(50, block_measure, np.random.default_rng(123))
-    assert np.array_equal(a.levels, b.levels)
+    a = _draw_levels(50, block_measure.k, block_measure.lengths, np.random.default_rng(123))
+    b = _draw_levels(50, block_measure.k, block_measure.lengths, np.random.default_rng(123))
+    assert np.array_equal(a, b)
 
 
 def test_encode_decode_round_trip():
@@ -55,28 +64,24 @@ def test_encode_decode_round_trip():
         assert np.array_equal(decode_categories(codes, m, k), levels)
 
 
-def test_leaf_lengths_are_products(three_cat_measure):
-    a = assign_categories(30, three_cat_measure, np.random.default_rng(2))
-    want = three_cat_measure.lengths[a.levels].prod(axis=1)
-    assert np.allclose(a.leaf_lengths, want, rtol=1e-15)
-
-
 def test_category_frequencies_follow_lengths():
     meas = mfng.make_measure([0.1, 0.9], [[0.5, 0.5], [0.5, 0.5]], k=1)
-    a = assign_categories(20000, meas, np.random.default_rng(99))
-    frac = float((a.levels[:, 0] == 0).mean())
+    levels = _draw_levels(20000, meas.k, meas.lengths, np.random.default_rng(99))
+    frac = float((levels[:, 0] == 0).mean())
     assert abs(frac - 0.1) < 0.01  # ~4.7 sigma band
 
 
 def test_category_index_partitions_nodes(block_measure):
-    a = assign_categories(200, block_measure, np.random.default_rng(5))
-    index = CategoryIndex.from_assignment(a)
+    levels = _draw_levels(200, block_measure.k, block_measure.lengths,
+                          np.random.default_rng(5))
+    codes = encode_categories(levels, 2)
+    index = CategoryIndex(codes)
     seen = np.concatenate([index.nodes_at(i) for i in range(index.group_count)])
     assert sorted(seen.tolist()) == list(range(200))
     # lookup finds every real code and rejects a foreign one
-    pos = index.lookup(a.codes)
+    pos = index.lookup(codes)
     assert np.all(pos >= 0)
-    assert np.all(index.codes[pos] == a.codes)
+    assert np.all(index.codes[pos] == codes)
     missing = index.lookup(np.array([2**40]))
     assert missing[0] == -1
 
@@ -231,8 +236,13 @@ def test_fast_stalls_on_unreachable_target():
     # the drawn target asks for more, so the sampler must give up.
     meas = mfng.make_measure([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]], k=1)
     cfg = FastSamplerConfig(max_consecutive_rejects=500)
-    with pytest.raises(StalledError):
+    with pytest.raises(StalledError) as info:
         mfng.fast_sample(6, meas, cfg, np.random.default_rng(13))
+    err = info.value
+    assert err.streak > cfg.max_consecutive_rejects
+    assert 0 < err.placed < err.target
+    assert str(err) == (f"no edge placed in {err.streak} consecutive boxes "
+                        f"({err.placed} of {err.target} edges placed)")
 
 
 def test_fast_config_validation():
@@ -245,11 +255,11 @@ def test_fast_config_validation():
 
 
 def test_target_moments_match_constant_schedule(block_measure):
-    mean, std = _target_edge_moments(
+    got = _target_edge_moments(
         1500, [block_measure.probs] * block_measure.k, block_measure.lengths)
     em = mfng.edge_moments(block_measure, 1500)
-    assert math.isclose(mean, em.mean, rel_tol=1e-12)
-    assert math.isclose(std, em.std, rel_tol=1e-12)
+    assert math.isclose(got.mean, em.mean, rel_tol=1e-12)
+    assert math.isclose(got.std, em.std, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
