@@ -10,7 +10,6 @@ from .errors import (
     DegenerateDiagonalError,
     DepthOverflowError,
     DomainError,
-    ExactModeTooLargeError,
     GraphTooLargeError,
     LengthVectorError,
     MeasureValidationError,

@@ -50,10 +50,6 @@ class GraphTooLargeError(TooLargeError):
     """The graph is too large for an exhaustive reference computation."""
 
 
-class ExactModeTooLargeError(TooLargeError):
-    """Exact rational degree counts were requested for too many nodes."""
-
-
 class AllZeroMeasureError(MfngError):
     """Every link probability is zero; there is nothing to sample."""
 

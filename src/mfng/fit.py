@@ -12,7 +12,7 @@ adding restarts never discards earlier ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from scipy.optimize import minimize
 
 from .errors import DomainError, ZeroTargetFeatureError
 from .measure import (
-    DEFAULT_FEATURES,
     ENCODING_BITS,
     FeatureVector,
     GeneratingMeasure,
@@ -32,6 +31,11 @@ from .measure import (
 )
 
 _LOGIT_CLIP = 1e-12
+
+# Nelder-Mead stopping tolerances and the iteration cap of one local search.
+_FATOL = 1e-10
+_XATOL = 1e-6
+_MAX_ITERATIONS = 2000
 
 
 def max_depth(m: int) -> int:
@@ -54,8 +58,7 @@ class FitConfig:
 
     ``k=None`` sweeps depths around ceil(log_m n); a given ``k`` pins it.
     ``weights`` maps feature keys to nonnegative weights (missing keys get
-    1.0).  ``fatol``/``xatol`` are the simplex stopping tolerances and
-    ``max_iterations`` caps each local search.
+    1.0).
     """
 
     m: int
@@ -63,9 +66,6 @@ class FitConfig:
     restarts: int = 200
     weights: Mapping[str, float] | None = None
     seed: int = 0
-    fatol: float = 1e-10
-    xatol: float = 1e-6
-    max_iterations: int = 2000
 
     def depth_candidates(self, n: int) -> tuple[int, ...]:
         """Depths to try: the given k, or a +/-2 window around ceil(log_m n)."""
@@ -180,7 +180,10 @@ def _decode_params(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     n_tri = m * (m + 1) // 2
     probs = np.zeros((m, m))
     iu = np.triu_indices(m)
-    vals = 1.0 / (1.0 + np.exp(-x[:n_tri]))
+    # exp overflows to inf for very negative coordinates; 1 / (1 + inf) = 0
+    # is the intended limit, so the warning is noise.
+    with np.errstate(over="ignore"):
+        vals = 1.0 / (1.0 + np.exp(-x[:n_tri]))
     probs[iu] = vals
     probs.T[iu] = vals
     if m > 1:
@@ -201,9 +204,6 @@ def local_optimize(
     n: int,
     target: FeatureVector,
     weights: Mapping[str, float] | None = None,
-    fatol: float = 1e-10,
-    xatol: float = 1e-6,
-    max_iterations: int = 2000,
 ) -> tuple[GeneratingMeasure, float]:
     """Simplex descent from one starting point.
 
@@ -220,8 +220,8 @@ def local_optimize(
     x0 = _encode_params(np.asarray(probs, dtype=float), np.asarray(lengths, dtype=float))
     result = minimize(
         loss, x0, method="Nelder-Mead",
-        options={"fatol": fatol, "xatol": xatol,
-                 "maxiter": max_iterations, "maxfev": max_iterations * 2},
+        options={"fatol": _FATOL, "xatol": _XATOL,
+                 "maxiter": _MAX_ITERATIONS, "maxfev": _MAX_ITERATIONS * 2},
     )
     candidates = [x0, result.x]
     best_measure, best_obj = None, math.inf
@@ -253,10 +253,7 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
                 np.random.SeedSequence(config.seed, spawn_key=(k, r)))
             probs0, lengths0 = random_init(config.m, rng)
             measure, obj = local_optimize(
-                probs0, lengths0, k, n, target,
-                weights=config.weights, fatol=config.fatol,
-                xatol=config.xatol, max_iterations=config.max_iterations,
-            )
+                probs0, lengths0, k, n, target, weights=config.weights)
             depth_best = min(depth_best, obj)
             if best is None or obj < best[0]:
                 best = (obj, k, r, measure)

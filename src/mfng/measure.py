@@ -22,16 +22,15 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     CliqueSizeError,
     DepthOverflowError,
     DomainError,
-    ExactModeTooLargeError,
     LengthVectorError,
     NonSymmetricError,
     ProbabilityRangeError,
@@ -46,10 +45,6 @@ ENCODING_BITS = 62
 
 # Largest clique order for which the m**t survival enumeration is allowed.
 MAX_CLIQUE_ORDER = 8
-
-# Exact rational degree counts are capped here; beyond it the binomial
-# weights in the recursion exceed what is worth carrying exactly.
-EXACT_DEGREE_LIMIT = 64
 
 DEFAULT_FEATURES = ("edges", "S2", "S3", "S4", "C3", "C4")
 
@@ -351,66 +346,31 @@ def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
     return _edge_moments_from_logs(n, k * math.log(s), log_wedge)
 
 
-def expected_degree_counts(measure: GeneratingMeasure, n: int, exact: bool = False):
+def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
     """Expected number of nodes of each degree, for degrees 0 .. n-1.
 
-    Uses the star identity E[S_d] = sum_{i>=d} C(i,d) E[N_i] (every node of
-    degree i hosts C(i,d) of the d-stars centered on it) and unwinds it from
-    the top degree down.  The subtraction chain is violently ill-conditioned
-    in floating point, so:
-
-    * ``exact=True`` runs the recursion in arbitrary-precision rationals
-      (n <= 64) and the result is exact;
-    * ``exact=False`` runs it in floats and is only trustworthy up to
-      n of about 50; beyond that the counts can degrade to noise.
-
-    Returns a list of Fractions (exact mode) or a float array.
+    A node whose k-level category tuple holds category i c_i times links to
+    every other node independently with probability
+    q = prod_i (P l)_i ** c_i, so its degree is Binomial(n-1, q).  E[N_d] is
+    therefore n times a mixture of binomial pmfs over the C(k+m-1, m-1)
+    category compositions c, each weighted by its multinomial probability
+    k! / prod c_i! * prod l_i ** c_i.  Every term is nonnegative and is
+    evaluated in log space, so the counts are accurate for any n.
     """
     if n < 1:
         raise DomainError(f"expected_degree_counts needs n >= 1, got {n}")
-    k = measure.k
-    if exact:
-        if n > EXACT_DEGREE_LIMIT:
-            raise ExactModeTooLargeError(
-                f"exact degree counts are capped at n = {EXACT_DEGREE_LIMIT}, got {n}")
-        lengths = [Fraction(x) for x in measure.lengths.tolist()]
-        # The stored lengths are floats that only sum to 1 up to rounding;
-        # the telescoping below is exact only on the exact simplex, so
-        # renormalize the rationals (a relative adjustment of ~1 ulp).
-        total = sum(lengths)
-        lengths = [x / total for x in lengths]
-        probs = [[Fraction(x) for x in row] for row in measure.probs.tolist()]
-        rows = [sum(probs[i][j] * lengths[j] for j in range(measure.m))
-                for i in range(measure.m)]
-        stars = []
-        for d in range(n):
-            base = sum(lengths[i] * rows[i] ** d for i in range(measure.m))
-            stars.append(n * math.comb(n - 1, d) * base ** k)
-        counts: list[Fraction] = [Fraction(0)] * n
-        for d in range(n - 1, -1, -1):
-            acc = stars[d]
-            for i in range(d + 1, n):
-                acc -= math.comb(i, d) * counts[i]
-            counts[d] = acc
-        return counts
-
-    if n > 1000:
-        raise DomainError(
-            "float-mode degree counts are limited to n <= 1000 "
-            "(and unreliable well before that); use smaller n")
-    row = measure.probs @ measure.lengths
-    lengths = measure.lengths
-    stars_f = np.empty(n)
-    for d in range(n):
-        base = float(np.dot(lengths, row ** d))
-        stars_f[d] = n * float(math.comb(n - 1, d)) * base ** k
-    counts_f = np.zeros(n)
-    for d in range(n - 1, -1, -1):
-        acc = stars_f[d]
-        for i in range(d + 1, n):
-            acc -= math.comb(i, d) * counts_f[i]
-        counts_f[d] = acc
-    return counts_f
+    m, k = measure.m, measure.k
+    comps = np.array([np.bincount(combo, minlength=m)
+                      for combo in itertools.combinations_with_replacement(range(m), k)])
+    log_weights = (gammaln(k + 1) - gammaln(comps + 1).sum(axis=1)
+                   + xlogy(comps, measure.lengths).sum(axis=1))
+    link = np.prod((measure.probs @ measure.lengths) ** comps, axis=1)
+    d = np.arange(n)
+    log_placements = math.log(n) + gammaln(n) - gammaln(d + 1) - gammaln(n - d)
+    counts = np.zeros(n)
+    for log_w, q in zip(log_weights, link):
+        counts += np.exp(log_placements + log_w + xlogy(d, q) + xlog1py(n - 1 - d, -q))
+    return counts
 
 
 def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEstimate:

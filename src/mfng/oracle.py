@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and independent: pattern probabilities
 come from enumerating all category tuples with plain Python arithmetic, and
-expectations multiply them by explicitly counted placements.  The Monte
-Carlo helper estimates the same quantities by sampling.  None of it reuses
-the factorized formulas it exists to check.
+expectations multiply them by explicitly counted placements.  Degree
+counts unwind the star identity in exact rationals.  The Monte Carlo helper
+estimates the same quantities by sampling.  None of it reuses the formulas
+it exists to check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +30,10 @@ MAX_PATTERN_NODES = 5
 # Exhaustive expectations multiply pattern probabilities by placement
 # counts; the point is tiny cross-checks, so keep n small.
 MAX_EXACT_NODES = 12
+
+# Exact rational degree counts are capped here; beyond it the binomial
+# weights in the recursion exceed what is worth carrying exactly.
+MAX_DEGREE_COUNT_NODES = 64
 
 MIN_MC_SAMPLES = 100
 
@@ -114,6 +120,42 @@ def exact_expected_features(
                 measure, _clique_pattern(order), num_nodes=order)
             cliques[order] = math.comb(n, order) * prob
     return FeatureVector(edges=edges, stars=stars, cliques=cliques)
+
+
+def exact_degree_counts(measure: GeneratingMeasure, n: int) -> list[Fraction]:
+    """Expected number of nodes of each degree 0 .. n-1, as exact rationals.
+
+    Uses the star identity E[S_d] = sum_{i>=d} C(i,d) E[N_i] (every node of
+    degree i hosts C(i,d) of the d-stars centered on it) and unwinds it from
+    the top degree down.  The subtraction chain is violently ill-conditioned
+    in floating point, so it runs in arbitrary-precision rationals.
+    """
+    if n < 1:
+        raise DomainError(f"exact_degree_counts needs n >= 1, got {n}")
+    if n > MAX_DEGREE_COUNT_NODES:
+        raise GraphTooLargeError(
+            f"exact degree counts are capped at n = {MAX_DEGREE_COUNT_NODES}, got {n}")
+    k = measure.k
+    lengths = [Fraction(x) for x in measure.lengths.tolist()]
+    # The stored lengths are floats that only sum to 1 up to rounding;
+    # the telescoping below is exact only on the exact simplex, so
+    # renormalize the rationals (a relative adjustment of ~1 ulp).
+    total = sum(lengths)
+    lengths = [x / total for x in lengths]
+    probs = [[Fraction(x) for x in row] for row in measure.probs.tolist()]
+    rows = [sum(probs[i][j] * lengths[j] for j in range(measure.m))
+            for i in range(measure.m)]
+    stars = []
+    for d in range(n):
+        base = sum(lengths[i] * rows[i] ** d for i in range(measure.m))
+        stars.append(n * math.comb(n - 1, d) * base ** k)
+    counts: list[Fraction] = [Fraction(0)] * n
+    for d in range(n - 1, -1, -1):
+        acc = stars[d]
+        for i in range(d + 1, n):
+            acc -= math.comb(i, d) * counts[i]
+        counts[d] = acc
+    return counts
 
 
 @dataclass(frozen=True)

@@ -86,22 +86,13 @@ class CategoryIndex:
         self.counts = counts
         self.nodes = order  # node ids grouped by code
 
-    @property
-    def group_count(self) -> int:
-        return int(self.codes.size)
-
     def lookup(self, query: np.ndarray) -> np.ndarray:
         """Group positions for encoded codes; -1 where the box is empty."""
-        pos = np.searchsorted(self.codes, query)
-        pos = np.minimum(pos, self.codes.size - 1) if self.codes.size else pos
         if self.codes.size == 0:
             return np.full(np.shape(query), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.codes, query), self.codes.size - 1)
         hit = self.codes[pos] == query
         return np.where(hit, pos, -1)
-
-    def nodes_at(self, pos: int) -> np.ndarray:
-        start = self.starts[pos]
-        return self.nodes[start:start + self.counts[pos]]
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +215,8 @@ class QTable:
         return flat // m, flat % m
 
 
-def build_q(measure_or_probs, lengths=None) -> QTable:
-    """Build the edge-mass table for a measure or a single level matrix."""
-    if isinstance(measure_or_probs, GeneratingMeasure):
-        probs = measure_or_probs.probs
-        lengths = measure_or_probs.lengths
-    else:
-        if lengths is None:
-            raise DomainError("build_q needs interval lengths alongside a raw matrix")
-        probs = np.asarray(measure_or_probs, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
+def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
+    """Build the edge-mass table of one level matrix."""
     q = probs * lengths[:, None] * lengths[None, :]
     total = float(q.sum())
     if total <= 0.0:

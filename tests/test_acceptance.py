@@ -17,7 +17,11 @@ import pytest
 
 import mfng
 from mfng.cli import main as cli_main, write_measure
-from mfng.oracle import exact_expected_features, exact_subgraph_probability
+from mfng.oracle import (
+    exact_degree_counts,
+    exact_expected_features,
+    exact_subgraph_probability,
+)
 
 BLOCK = dict(lengths=(0.25, 0.75), probs=((0.59, 0.43), (0.43, 0.78)))
 
@@ -34,6 +38,12 @@ def random_measure(rng, max_m=3, max_k=3):
     probs = rng.uniform(0.05, 0.95, size=(m, m))
     probs = (probs + probs.T) / 2.0
     return mfng.make_measure(lengths, probs, k=k)
+
+
+def library_matches_oracle(meas, n, exact):
+    got = mfng.expected_degree_counts(meas, n)
+    return len(got) == n and all(
+        math.isclose(g, float(e), rel_tol=1e-12, abs_tol=1e-12) for g, e in zip(got, exact))
 
 
 def spawned(base, *key):
@@ -175,18 +185,21 @@ def test_criterion_05_degree_recursion_exact():
     t0 = time.perf_counter()
     rng = np.random.default_rng(500)
 
-    # (a) rational mode sums to n exactly, no tolerance
+    # (a) the rational oracle sums to n exactly, no tolerance; the library's
+    # binomial mixture matches it entrywise
     for _ in range(10):
         meas = random_measure(rng)
         n = int(rng.integers(2, 31))
-        counts = mfng.expected_degree_counts(meas, n, exact=True)
+        counts = exact_degree_counts(meas, n)
         assert sum(counts) == n
+        assert library_matches_oracle(meas, n, counts)
 
     # (b) constant matrix: counts are n * Binomial(n-1, p^k) pmf
     p, k, n = 0.57, 4, 30
     meas = mfng.make_measure([0.45, 0.55], [[p, p], [p, p]], k=k)
     q = Fraction(p) ** k
-    counts = mfng.expected_degree_counts(meas, n, exact=True)
+    counts = exact_degree_counts(meas, n)
+    assert library_matches_oracle(meas, n, counts)
     worst = 0.0
     for d in range(n):
         want = n * math.comb(n - 1, d) * q**d * (1 - q) ** (n - 1 - d)
@@ -198,12 +211,13 @@ def test_criterion_05_degree_recursion_exact():
     # P(opposite cats)=1/2 per neighbour, so the degree of a node is
     # Binomial(2, 1/2) -> expected counts (3/4, 3/2, 3/4)
     tiny = mfng.make_measure([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], k=1)
-    got = mfng.expected_degree_counts(tiny, 3, exact=True)
+    got = exact_degree_counts(tiny, 3)
     assert got == [Fraction(3, 4), Fraction(3, 2), Fraction(3, 4)]
+    assert library_matches_oracle(tiny, 3, got)
 
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
-    report(5, "degree recursion exact in rational mode", ok,
+    report(5, "degree counts match the exact rational recursion", ok,
            f"binomial rel err {worst:.2e}, {elapsed:.1f}s")
     assert elapsed < 10.0
 

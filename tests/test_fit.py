@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_decode_params_floors_underflowed_lengths():
     x = _encode_params(np.array([[0.6, 0.3], [0.3, 0.2]]), np.array([0.35, 0.65]))
     raw = np.exp(np.array([0.0, x[3]]) - max(0.0, x[3]))
     assert np.array_equal(_decode_params(x, 2)[1], raw / raw.sum())
+
+
+def test_decode_params_logistic_limit_is_silent():
+    x = np.array([-1000.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs, _ = _decode_params(x, 2)
+    assert probs[0, 0] == 0.0
 
 
 def test_local_optimize_survives_an_underflowed_length(monkeypatch, block_measure_k4):

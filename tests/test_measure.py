@@ -12,11 +12,12 @@ from mfng import (
     CliqueSizeError,
     DepthOverflowError,
     DomainError,
-    ExactModeTooLargeError,
+    GraphTooLargeError,
     LengthVectorError,
     NonSymmetricError,
     ProbabilityRangeError,
 )
+from mfng.oracle import exact_degree_counts
 
 
 # ---------------------------------------------------------------------------
@@ -315,57 +316,67 @@ def _degree_counts_by_full_enumeration(meas, n):
     return counts
 
 
+def _assert_library_matches_oracle(meas, n, exact):
+    got = mfng.expected_degree_counts(meas, n)
+    assert len(got) == len(exact) == n
+    for g, e in zip(got, exact):
+        assert math.isclose(g, float(e), rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_exact_degree_counts_sum_to_n(random_measure):
     rng = np.random.default_rng(808)
     for _ in range(15):
         meas = random_measure(rng)
         n = int(rng.integers(2, 25))
-        counts = mfng.expected_degree_counts(meas, n, exact=True)
+        counts = exact_degree_counts(meas, n)
         assert all(isinstance(c, Fraction) for c in counts)
         assert sum(counts) == n
+        _assert_library_matches_oracle(meas, n, counts)
 
 
 def test_exact_degree_counts_tiny_case_full_enumeration():
     meas = mfng.make_measure([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], k=1)
-    got = mfng.expected_degree_counts(meas, 3, exact=True)
+    got = exact_degree_counts(meas, 3)
     want = _degree_counts_by_full_enumeration(meas, 3)
     assert got == want == [Fraction(3, 4), Fraction(3, 2), Fraction(3, 4)]
+    _assert_library_matches_oracle(meas, 3, got)
 
 
 def test_exact_degree_counts_random_tiny_cases_full_enumeration(random_measure):
     rng = np.random.default_rng(4242)
     for _ in range(5):
         meas = random_measure(rng, max_m=2, max_k=1)
-        got = mfng.expected_degree_counts(meas, 4, exact=True)
+        got = exact_degree_counts(meas, 4)
         want = _degree_counts_by_full_enumeration(meas, 4)
         for g, w in zip(got, want):
             assert abs(g - w) <= Fraction(1, 10**12)
+        _assert_library_matches_oracle(meas, 4, got)
 
 
 def test_exact_degree_counts_uniform_matches_binomial():
     p, k, n = 0.62, 3, 30
     meas = mfng.make_measure([0.3, 0.7], [[p, p], [p, p]], k=k)
     q = Fraction(p) ** k
-    counts = mfng.expected_degree_counts(meas, n, exact=True)
+    counts = exact_degree_counts(meas, n)
     for d in range(n):
         want = n * math.comb(n - 1, d) * q**d * (1 - q) ** (n - 1 - d)
         assert abs(counts[d] - want) <= Fraction(1, 10**10)
+    _assert_library_matches_oracle(meas, n, counts)
 
 
-def test_float_degree_counts_track_exact_mode(block_measure_k4):
+def test_degree_counts_match_oracle_on_block_measure(block_measure_k4):
     n = 40
-    exact = mfng.expected_degree_counts(block_measure_k4, n, exact=True)
-    approx = mfng.expected_degree_counts(block_measure_k4, n)
-    assert math.isclose(float(sum(exact)), sum(approx), rel_tol=1e-9)
-    for e, a in zip(exact, approx):
-        assert abs(float(e) - a) <= 1e-6 * max(1.0, float(e))
+    exact = exact_degree_counts(block_measure_k4, n)
+    assert math.isclose(sum(mfng.expected_degree_counts(block_measure_k4, n)), n,
+                        rel_tol=1e-12)
+    _assert_library_matches_oracle(block_measure_k4, n, exact)
 
 
 def test_degree_count_mode_limits(block_measure_k4):
-    with pytest.raises(ExactModeTooLargeError):
-        mfng.expected_degree_counts(block_measure_k4, 65, exact=True)
     with pytest.raises(DomainError):
-        mfng.expected_degree_counts(block_measure_k4, 1001)
+        mfng.expected_degree_counts(block_measure_k4, 0)
+    with pytest.raises(GraphTooLargeError):
+        exact_degree_counts(block_measure_k4, 65)
 
 
 def test_degree_counts_consistent_with_star_moments(random_measure):
@@ -374,11 +385,24 @@ def test_degree_counts_consistent_with_star_moments(random_measure):
     for _ in range(5):
         meas = random_measure(rng, max_m=2)
         n = int(rng.integers(5, 20))
-        counts = mfng.expected_degree_counts(meas, n, exact=True)
+        counts = exact_degree_counts(meas, n)
         for j in (1, 2, 3):
             total = sum(math.comb(d, j) * counts[d] for d in range(j, n))
             want = mfng.expected_d_stars(meas, n, j)
             assert math.isclose(float(total), want, rel_tol=1e-10)
+        _assert_library_matches_oracle(meas, n, counts)
+
+
+@pytest.mark.parametrize("n", [1000, 100_000])
+def test_degree_counts_at_large_n_reproduce_moments(block_measure, n):
+    counts = mfng.expected_degree_counts(block_measure, n)
+    assert np.all(np.isfinite(counts)) and np.all(counts >= 0.0)
+    d = np.arange(n, dtype=float)
+    assert math.isclose(counts.sum(), n, rel_tol=1e-9)
+    assert math.isclose(d @ counts / 2, mfng.expected_edges(block_measure, n), rel_tol=1e-9)
+    for j, binom in ((2, d * (d - 1) / 2), (3, d * (d - 1) * (d - 2) / 6)):
+        want = mfng.expected_d_stars(block_measure, n, j)
+        assert math.isclose(binom @ counts, want, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

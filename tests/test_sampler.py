@@ -76,7 +76,8 @@ def test_category_index_partitions_nodes(block_measure):
                           np.random.default_rng(5))
     codes = encode_categories(levels, 2)
     index = CategoryIndex(codes)
-    seen = np.concatenate([index.nodes_at(i) for i in range(index.group_count)])
+    seen = np.concatenate([index.nodes[start:start + count]
+                           for start, count in zip(index.starts, index.counts)])
     assert sorted(seen.tolist()) == list(range(200))
     # lookup finds every real code and rejects a foreign one
     pos = index.lookup(codes)
@@ -154,7 +155,7 @@ def test_intersection_rejects_mismatched_matrices(block_measure_k4):
 # ---------------------------------------------------------------------------
 
 def test_build_q_values(block_measure_k4):
-    table = build_q(block_measure_k4)
+    table = build_q(block_measure_k4.probs, block_measure_k4.lengths)
     lengths = block_measure_k4.lengths
     want = block_measure_k4.probs * np.outer(lengths, lengths)
     assert np.allclose(table.q, want, rtol=1e-15)
@@ -165,13 +166,13 @@ def test_build_q_values(block_measure_k4):
 def test_build_q_rejects_zero_mass():
     meas = mfng.make_measure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]], k=1)
     with pytest.raises(AllZeroMeasureError):
-        build_q(meas)
+        build_q(meas.probs, meas.lengths)
 
 
 def test_q_table_sampling_respects_mass():
     # diagonal mass only: off-diagonal cells must never be drawn
     meas = mfng.make_measure([0.5, 0.5], [[0.4, 0.0], [0.0, 0.4]], k=1)
-    table = build_q(meas)
+    table = build_q(meas.probs, meas.lengths)
     i, j = table.sample_pairs(np.random.default_rng(4), 4000)
     assert np.all(i == j)
     frac_zero = float((i == 0).mean())
