@@ -11,8 +11,10 @@ validation failure), 3 runtime failure (e.g. the fast sampler stalled).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -51,13 +53,41 @@ EXIT_RUNTIME = 3
 # file formats
 # ---------------------------------------------------------------------------
 
-def read_edge_list(path: str) -> list[tuple[int, int]]:
-    """Parse a whitespace-separated edge list.
+_INT64 = np.iinfo(np.int64)
+
+
+def read_edge_list(path: str) -> np.ndarray:
+    """Parse a whitespace-separated edge list into an (E, 2) int64 array.
 
     Lines starting with '#' and blank lines are skipped; every other line
-    must hold exactly two integers.  Pairs come back in file order with no
-    interpretation (no deduping, no symmetrizing).
+    must hold exactly two integers that fit in int64.  Pairs come back in
+    file order with no interpretation (no deduping, no symmetrizing).
+
+    The file is parsed in one ``np.loadtxt`` call.  That parser is looser
+    than the rule above (it strips a '#' comment anywhere in a line, and
+    its column count is only known afterwards), so it is used only when
+    every '#' starts a line and the result has two columns.  Anything else,
+    including any failure, goes to the line parser, which accepts the same
+    files and names the first bad line in its ``ParseError``.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count("#") == text.startswith("#") + text.count("\n#"):
+        try:
+            with warnings.catch_warnings():
+                # an empty file warns; a float field warns on older numpy
+                warnings.simplefilter("error")
+                pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if pairs.shape[1] == 2:
+                return pairs
+    return _read_edge_lines(path)
+
+
+def _read_edge_lines(path: str) -> np.ndarray:
+    """The line-by-line parser behind ``read_edge_list``."""
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -75,8 +105,12 @@ def read_edge_list(path: str) -> list[tuple[int, int]]:
                 raise ParseError(
                     f"{path}:{lineno}: expected two integers, got {stripped!r}",
                     line=lineno) from None
+            if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
+                raise ParseError(
+                    f"{path}:{lineno}: node id outside the 64-bit integer range",
+                    line=lineno)
             pairs.append((u, v))
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _fmt(value: float) -> str:

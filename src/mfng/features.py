@@ -2,8 +2,16 @@
 
 Counts are exact Python integers throughout: star counts on heavy-tailed
 graphs overflow 64-bit arithmetic long before the graphs get interesting.
-Triangles and 4-cliques use the standard degree-ordered forward-adjacency
-sweep, which touches every triangle exactly once.
+
+Triangles and 4-cliques use the array form of the forward algorithm (Latapy
+2008).  Every edge is oriented from the endpoint of lower (degree, id) rank
+to the higher one, so each node keeps at most O(sqrt(E)) forward neighbors
+and each triangle u < v < w (in rank) arises from exactly one wedge:
+forward edge (u, v) followed by w in F(v), kept when (u, w) is an edge.
+Wedges are expanded and tested as whole arrays, a bounded number at a time,
+with edge membership answered by binary search over the sorted forward-edge
+keys ``u * n + w``.  A 4-clique u < v < w < x extends its triangle
+(u, v, w) by x in F(w) with both (u, x) and (v, x) present.
 """
 
 from __future__ import annotations
@@ -61,15 +69,14 @@ class Graph:
             return cls.empty(n)
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        keys = np.unique(lo * np.int64(n) + hi)
-        lo, hi = keys // n, keys % n
-        both_u = np.concatenate([lo, hi])
-        both_v = np.concatenate([hi, lo])
-        order = np.lexsort((both_v, both_u))
-        indices = both_v[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both_u, minlength=n), out=indptr[1:])
-        return cls(n, indptr, indices)
+        # One sort of the keys u * n + v over both orientations puts every
+        # row in order and every neighbor list ascending; dropping repeats
+        # collapses duplicate edges.
+        n64 = np.int64(n)
+        keys = np.sort(np.concatenate([lo * n64 + hi, hi * n64 + lo]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        indptr, rows = _csr_rows(keys, n)
+        return cls(n, indptr, keys - rows * n64)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -111,6 +118,14 @@ class Graph:
         return f"Graph(n={self._n}, edges={self.edge_count})"
 
 
+def _csr_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointer and row ids of sorted keys ``u * n + v`` on n rows."""
+    rows = keys // np.int64(n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, rows
+
+
 def from_edge_list(pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from raw id pairs as they come out of an edge-list file.
 
@@ -119,16 +134,14 @@ def from_edge_list(pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     self-loops) counts as a node.  Self-loops and duplicate edges are then
     discarded.  An empty input gives the empty graph.
     """
-    if isinstance(pairs, np.ndarray):
-        arr = pairs.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        flat = [int(x) for uv in pairs for x in uv]
-        arr = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
         return Graph.empty(0)
-    ids = np.unique(arr)
-    remapped = np.searchsorted(ids, arr)
-    return Graph.from_pairs(int(ids.size), remapped)
+    ids, inverse = np.unique(arr, return_inverse=True)
+    # The inverse's shape for a 2-D input differs across numpy versions.
+    return Graph.from_pairs(int(ids.size), inverse.reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -144,57 +157,98 @@ def count_stars(graph: Graph, d: int) -> int:
                for deg, cnt in enumerate(hist.tolist()) if cnt and deg >= d)
 
 
-def _forward_lists(graph: Graph) -> list[np.ndarray]:
-    """Neighbors with strictly higher (degree, id) rank, per node.
+# Most wedges expanded and tested at once by the triangle and 4-clique
+# counters; bounds their working memory whatever the triangle count.
+_WEDGE_CHUNK = 1 << 16
 
-    Orienting every edge toward the higher-ranked endpoint makes each
-    triangle discoverable exactly once and keeps the forward lists short on
-    skewed degree sequences.
+
+@dataclass(frozen=True)
+class _Forward:
+    """Edges oriented by (degree, id) rank, in rank space.
+
+    ``keys`` holds ``u * n + v`` for every forward edge u < v, sorted;
+    ``sources`` and ``targets`` are its u and v, so
+    ``targets[indptr[u]:indptr[u + 1]]`` are the forward neighbors F(u).
     """
-    deg = graph.degrees()
-    order = np.lexsort((np.arange(graph.n), deg))
-    rank = np.empty(graph.n, dtype=np.int64)
-    rank[order] = np.arange(graph.n)
-    out = []
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        out.append(nbrs[rank[nbrs] > rank[v]])
-    return out
+
+    n: int
+    indptr: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def of(cls, graph: Graph) -> "_Forward":
+        n = np.int64(graph.n)
+        deg = graph.degrees()
+        rank = np.empty(graph.n, dtype=np.int64)
+        rank[np.argsort(deg, kind="stable")] = np.arange(graph.n)
+        src = np.repeat(rank, deg)
+        dst = rank[graph._indices]
+        fwd = src < dst
+        keys = np.sort(src[fwd] * n + dst[fwd])
+        indptr, rows = _csr_rows(keys, graph.n)
+        return cls(graph.n, indptr, rows, keys - rows * n, keys)
+
+    def has_edge(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Elementwise: is (u, v), with u below v in rank, a forward edge?
+
+        Every u must rank below some source of a forward edge, as the first
+        two nodes of a wedge do, so that the smallest query does not exceed
+        the last key.
+        """
+        query = u * np.int64(self.n) + v
+        # Search only the keys between the smallest and the largest query:
+        # a chunk of wedges spans few rows, and that slice stays in cache.
+        lo, hi = np.searchsorted(self.keys, [query.min(), query.max()])
+        keys = self.keys[lo:hi + 1]
+        return keys.take(np.searchsorted(keys, query), mode="clip") == query
+
+    def expand(self, heads: np.ndarray):
+        """Yield (i, x) array pairs covering every x in F(heads[i]).
+
+        Each chunk holds at most ``_WEDGE_CHUNK`` pairs, or the pairs of a
+        single head whose forward list is longer than that.
+        """
+        counts = self.indptr[heads + 1] - self.indptr[heads]
+        ends = np.cumsum(counts)
+        start = 0
+        while start < heads.size:
+            base = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, base + _WEDGE_CHUNK, side="right")),
+                       start + 1)
+            size = int(ends[stop - 1] - base)
+            if size:
+                group = counts[start:stop]
+                # Pair j of the chunk reads F(heads[i]) at its offset j minus
+                # the offset where that head's run begins.
+                first = self.indptr[heads[start:stop]] - (ends[start:stop] - group - base)
+                i = np.repeat(np.arange(start, stop), group)
+                yield i, self.targets[np.repeat(first, group) + np.arange(size)]
+            start = stop
+
+
+def _triangles(fwd: _Forward):
+    """Yield every triangle u < v < w (in rank) once, as chunks of arrays."""
+    for i, w in fwd.expand(fwd.targets):
+        u = fwd.sources[i]
+        hit = fwd.has_edge(u, w)
+        yield u[hit], fwd.targets[i[hit]], w[hit]
 
 
 def count_triangles(graph: Graph) -> int:
-    """Exact triangle count via the forward-adjacency sweep."""
-    fwd = _forward_lists(graph)
-    total = 0
-    for u in range(graph.n):
-        fu = fwd[u]
-        if fu.size < 1:
-            continue
-        for v in fu.tolist():
-            fv = fwd[v]
-            if fv.size:
-                total += int(np.intersect1d(fu, fv, assume_unique=True).size)
-    return total
+    """Exact triangle count via the forward wedge enumeration."""
+    return sum(int(w.size) for _, _, w in _triangles(_Forward.of(graph)))
 
 
 def count_4cliques(graph: Graph) -> int:
-    """Exact 4-clique count: extend each forward triangle by the common
-    forward neighbors of its two lowest-ranked vertices."""
-    fwd = _forward_lists(graph)
+    """Exact 4-clique count: extend each triangle (u, v, w) by every x in
+    F(w) adjacent to both u and v."""
+    fwd = _Forward.of(graph)
     total = 0
-    for u in range(graph.n):
-        fu = fwd[u]
-        if fu.size < 2:
-            continue
-        for v in fu.tolist():
-            fv = fwd[v]
-            if not fv.size:
-                continue
-            common = np.intersect1d(fu, fv, assume_unique=True)
-            for w in common.tolist():
-                fw = fwd[w]
-                if fw.size:
-                    total += int(np.intersect1d(common, fw, assume_unique=True).size)
+    for u, v, w in _triangles(fwd):
+        for i, x in fwd.expand(w):
+            total += int(np.count_nonzero(fwd.has_edge(u[i], x) & fwd.has_edge(v[i], x)))
     return total
 
 

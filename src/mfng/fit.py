@@ -11,6 +11,7 @@ adding restarts never discards earlier ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -149,11 +150,24 @@ def _loss(
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle indices of an m x m matrix, built once per m.
+
+    The objective decodes a parameter vector on every evaluation; the
+    arrays are read-only because every caller shares them.
+    """
+    iu = np.triu_indices(m)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def random_init(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A random starting point: uniform probabilities, flat-Dirichlet lengths."""
     tri = rng.random(m * (m + 1) // 2)
     probs = np.zeros((m, m))
-    iu = np.triu_indices(m)
+    iu = _triu(m)
     probs[iu] = tri
     probs.T[iu] = tri
     raw = rng.standard_exponential(m)
@@ -169,7 +183,7 @@ def _encode_params(probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     coordinate), so every search iterate decodes to a feasible measure.
     """
     m = lengths.shape[0]
-    iu = np.triu_indices(m)
+    iu = _triu(m)
     p = np.clip(probs[iu], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
     x_p = np.log(p / (1.0 - p))
     x_l = np.log(lengths[1:] / lengths[0]) if m > 1 else np.zeros(0)
@@ -179,7 +193,7 @@ def _encode_params(probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _decode_params(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     n_tri = m * (m + 1) // 2
     probs = np.zeros((m, m))
-    iu = np.triu_indices(m)
+    iu = _triu(m)
     # exp overflows to inf for very negative coordinates; 1 / (1 + inf) = 0
     # is the intended limit, so the warning is noise.
     with np.errstate(over="ignore"):

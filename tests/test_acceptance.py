@@ -335,15 +335,17 @@ def test_criterion_09_fast_sampler_scaling():
     # warm up allocators and caches before timing
     mfng.fast_sample(10000, measure_for(10000), rng=np.random.default_rng(1))
 
+    # CPU time of this process: the ratio measures the sampler's own work,
+    # not time spent waiting for a core on a shared machine.
     times = []
     for n in (25_000, 50_000, 100_000):
         meas = measure_for(n)
         best = math.inf
         for rep in range(3):
             rng = np.random.default_rng(99 + rep)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             g = mfng.fast_sample(n, meas, rng=rng)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
             assert g.n == n
         times.append(best)
     r1 = times[1] / times[0]

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import mfng
+import mfng.cli
 from mfng import ParseError, SchemaError
 from mfng.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _read_edge_lines,
     main,
     read_edge_list,
     read_measure,
@@ -100,7 +102,53 @@ def test_measure_file_rejects_malformed_json(tmp_path):
 def test_edge_list_parser_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("# header\n\n0\t1\n2 3\n# trailing\n")
-    assert read_edge_list(str(path)) == [(0, 1), (2, 3)]
+    assert read_edge_list(str(path)).tolist() == [[0, 1], [2, 3]]
+
+
+# text -> the pairs both parsers return, or the line their ParseError names
+PARSER_CASES = {
+    "inline comment": ("0 1 # x\n", 1),
+    "one column": ("1\n2\n", 1),
+    "one column late": ("0 1\n2\n", 2),
+    "three columns": ("0 1 2\n3 4 5\n", 1),
+    "float field": ("1.0 2\n", 1),
+    "beyond int64": ("0 1\n1 99999999999999999999\n", 2),
+    "below int64": ("-9223372036854775809 1\n", 1),
+    "int64 limits": ("-9223372036854775808 9223372036854775807\n",
+                     [[-9223372036854775808, 9223372036854775807]]),
+    "crlf": ("0 1\r\n2 3\r\n", [[0, 1], [2, 3]]),
+    "header only": ("# nodes: 5\n", []),
+    "empty": ("", []),
+    "indented comment": ("0 1\n  # note\n2 3\n", [[0, 1], [2, 3]]),
+    "hash in a comment": ("# a # b\n0 1\n", [[0, 1]]),
+    "signs and blanks": ("+4 -2\n\n   \n007\t1\n", [[4, -2], [7, 1]]),
+}
+
+
+@pytest.mark.parametrize("text, want", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_fast_edge_list_parse_matches_the_line_parser(tmp_path, text, want):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(text.encode())
+    if isinstance(want, int):
+        for parser in (read_edge_list, _read_edge_lines):
+            with pytest.raises(ParseError) as err:
+                parser(str(path))
+            assert err.value.line == want, parser.__name__
+        return
+    for parser in (read_edge_list, _read_edge_lines):
+        pairs = parser(str(path))
+        assert pairs.dtype == np.int64 and pairs.shape == (len(want), 2), parser.__name__
+        assert pairs.tolist() == want, parser.__name__
+
+
+def test_plain_edge_list_takes_the_array_parse(tmp_path, monkeypatch):
+    def line_parser(path):
+        raise AssertionError("fell back to the line parser")
+
+    monkeypatch.setattr(mfng.cli, "_read_edge_lines", line_parser)
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"# mfng sample\n# nodes: 4\n0\t1\r\n\n1\t3\n# end\n")
+    assert read_edge_list(str(path)).tolist() == [[0, 1], [1, 3]]
 
 
 def test_edge_list_parser_reports_the_bad_line(tmp_path):
@@ -251,6 +299,25 @@ def test_usage_error_bad_depth(capsys, graph_file, tmp_path):
 def test_data_error_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "features", "--graph", str(tmp_path / "nope.tsv"))
     assert code == EXIT_DATA
+
+
+def test_data_error_id_beyond_int64(capsys, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("0 1\n1 99999999999999999999\n")
+    code, out, err = run(capsys, "features", "--graph", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert f"{path}:2:" in err
+
+
+def test_header_only_edge_list_is_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# mfng sample\n# nodes: 0\n")
+    code, out, err = run(capsys, "features", "--graph", str(path),
+                         "--features", "edges,C3")
+    assert code == EXIT_OK
+    assert err == ""
+    assert out.split() == ["feature", "count", "nodes", "0", "edges", "0", "C3", "0"]
 
 
 def test_data_error_invalid_measure(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 import mfng
 from mfng import DomainError, GraphTooLargeError, ZeroWedgesError
+import mfng.features
 from mfng.features import Graph, brute_force_counts
 
 
@@ -106,6 +107,66 @@ def test_counts_match_brute_force_on_random_graphs():
 def test_dense_random_graph_against_brute_force():
     g = random_gnp(10, 0.8, seed=42)
     assert mfng.feature_vector(g).as_dict() == brute_force_counts(g).as_dict()
+
+
+def dense_reference(adj):
+    """Feature counts from a dense 0/1 adjacency matrix, shared with nothing.
+
+    C3 is trace(A^3) / 6; C4 loops over triangles a < b < c and counts the
+    d > c adjacent to all three.
+    """
+    a = adj.astype(np.int64)
+    deg = a.sum(axis=1).tolist()
+    c4 = 0
+    n = a.shape[0]
+    for x in range(n):
+        for y in np.flatnonzero(a[x, x + 1:]) + x + 1:
+            for z in np.flatnonzero(a[x, y + 1:] & a[y, y + 1:]) + y + 1:
+                c4 += int(np.count_nonzero(a[x, z + 1:] & a[y, z + 1:] & a[z, z + 1:]))
+    return {
+        "edges": int(a.sum()) // 2,
+        "S2": sum(math.comb(d, 2) for d in deg),
+        "S3": sum(math.comb(d, 3) for d in deg),
+        "S4": sum(math.comb(d, 4) for d in deg),
+        "C3": int(np.trace(a @ a @ a)) // 6,
+        "C4": c4,
+    }
+
+
+def chunk_test_graphs():
+    """Random graphs with a planted K8 and a hub, ids shuffled."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for n, p in ((150, 0.12), (220, 0.06), (300, 0.03)):
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        k8 = rng.choice(n, size=8, replace=False)
+        adj[np.ix_(k8, k8)] = True
+        hub = rng.integers(n)
+        adj[hub, rng.choice(n, size=n // 2, replace=False)] = True
+        adj = adj | adj.T
+        np.fill_diagonal(adj, False)
+        out.append(adj)
+    k8_alone = np.zeros((20, 20), dtype=bool)
+    k8_alone[4:12, 4:12] = True
+    np.fill_diagonal(k8_alone, False)
+    out.append(k8_alone)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 3, mfng.features._WEDGE_CHUNK])
+def test_counts_match_dense_reference_across_wedge_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(mfng.features, "_WEDGE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for adj in chunk_test_graphs():
+        want = dense_reference(adj)
+        if adj.shape[0] == 20:
+            assert (want["C3"], want["C4"]) == (56, 70)
+        ids = rng.permutation(10 * adj.shape[0])[:adj.shape[0]]
+        u, v = np.nonzero(np.triu(adj, 1))
+        g = mfng.from_edge_list(np.column_stack([ids[u], ids[v]]))
+        assert mfng.count_triangles(g) == want["C3"]
+        assert mfng.count_4cliques(g) == want["C4"]
+        assert mfng.feature_vector(g).as_dict() == want
 
 
 def test_brute_force_node_cap():
