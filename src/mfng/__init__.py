@@ -56,7 +56,6 @@ from .measure import (
     validate_measure,
 )
 from .sampler import (
-    FastSamplerConfig,
     fast_sample,
     naive_sample,
     noisy_sample,

@@ -39,7 +39,7 @@ from .measure import (
     make_measure,
     parse_feature,
 )
-from .sampler import FastSamplerConfig, fast_sample, naive_sample, noisy_sample
+from .sampler import fast_sample, naive_sample, noisy_sample
 
 SCHEMA_VERSION = 1
 
@@ -70,8 +70,7 @@ def read_edge_list(path: str) -> np.ndarray:
     including any failure, goes to the line parser, which accepts the same
     files and names the first bad line in its ``ParseError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, ParseError)
     if text.count("#") == text.startswith("#") + text.count("\n#"):
         try:
             with warnings.catch_warnings():
@@ -89,28 +88,39 @@ def read_edge_list(path: str) -> np.ndarray:
 def _read_edge_lines(path: str) -> np.ndarray:
     """The line-by-line parser behind ``read_edge_list``."""
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected two integers, got {len(parts)} fields",
-                    line=lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: expected two integers, got {stripped!r}",
-                    line=lineno) from None
-            if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
-                raise ParseError(
-                    f"{path}:{lineno}: node id outside the 64-bit integer range",
-                    line=lineno)
-            pairs.append((u, v))
+    for lineno, line in enumerate(_read_text(path, ParseError).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(
+                f"{path}:{lineno}: expected two integers, got {len(parts)} fields",
+                line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: expected two integers, got {stripped!r}",
+                line=lineno) from None
+        if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
+            raise ParseError(
+                f"{path}:{lineno}: node id outside the 64-bit integer range",
+                line=lineno)
+        pairs.append((u, v))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_text(path: str, error: type[MfngError]) -> str:
+    """The whole file as text (newlines translated to '\n'); bytes that are
+    not UTF-8 raise ``error`` naming the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.object is all of it
+            lineno = exc.object[:exc.start].count(b"\n") + 1
+            raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 def _fmt(value: float) -> str:
@@ -139,11 +149,10 @@ def write_measure(measure: GeneratingMeasure, path: str) -> None:
 
 def read_measure(path: str) -> GeneratingMeasure:
     """Load and validate a measure document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        doc = json.loads(_read_text(path, SchemaError))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: measure document must be a JSON object")
     for key in ("schema_version", "m", "k", "lengths", "probs"):
@@ -169,13 +178,19 @@ def read_measure(path: str) -> GeneratingMeasure:
     return make_measure(lengths, probs, k)
 
 
+# Edges formatted per write call; bounds the text held in memory at once.
+_WRITE_SLICE = 1 << 16
+
+
 def write_edge_list(graph, path: str, header_lines: Sequence[str]) -> None:
     """Write edges one per line, endpoints ascending, lines sorted."""
+    edges = graph.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        for u, v in graph.edge_array().tolist():
-            fh.write(f"{u}\t{v}\n")
+        for start in range(0, edges.shape[0], _WRITE_SLICE):
+            u, v = edges[start:start + _WRITE_SLICE].T
+            fh.write("".join(map("{}\t{}\n".format, u.tolist(), v.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +260,8 @@ def cmd_degree_dist(args) -> int:
 def cmd_fit(args) -> int:
     graph = from_edge_list(read_edge_list(args.graph))
     target = feature_vector(graph, DEFAULT_FEATURES)
-    k = None if args.k == "auto" else int(args.k)
     config = FitConfig(
-        m=args.m, k=k, restarts=args.restarts, seed=args.seed)
+        m=args.m, k=args.k, restarts=args.restarts, seed=args.seed)
     result = fit_measure(target, graph.n, config)
     sys.stdout.write(
         f"fit: m={args.m} k={result.k} objective={_fmt(result.objective)} "
@@ -264,13 +278,12 @@ def cmd_fit(args) -> int:
 def cmd_sample(args) -> int:
     measure = read_measure(args.measure)
     rng = np.random.default_rng(args.seed)
-    config = FastSamplerConfig(accuracy=args.accuracy)
     if args.method == "naive":
         graph = naive_sample(args.nodes, measure, rng)
     elif args.method == "fast":
-        graph = fast_sample(args.nodes, measure, config, rng)
+        graph = fast_sample(args.nodes, measure, rng, accuracy=args.accuracy)
     elif args.method == "noisy":
-        graph = noisy_sample(args.nodes, measure, args.noise, config, rng)
+        graph = noisy_sample(args.nodes, measure, args.noise, rng, accuracy=args.accuracy)
     else:  # pragma: no cover - argparse restricts choices
         raise SchemaError(f"unknown method {args.method!r}")
     header = [
@@ -316,6 +329,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _depth_arg(text: str) -> int | None:
+    """--k: a recursion depth, or None for 'auto'."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfng", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a measure to a graph's counts")
     p.add_argument("--graph", required=True)
     p.add_argument("--m", type=int, required=True, help="number of categories")
-    p.add_argument("--k", default="auto",
+    p.add_argument("--k", type=_depth_arg, default="auto",
                    help="recursion depth, or 'auto' to sweep around log_m(n)")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -380,16 +404,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    try:
-        k = args.k  # validate 'auto'/int early for fit
-    except AttributeError:
-        k = None
-    if k is not None and k != "auto":
-        try:
-            int(k)
-        except ValueError:
-            sys.stderr.write(f"usage error: --k must be an integer or 'auto', got {k!r}\n")
-            return EXIT_USAGE
     try:
         return args.func(args)
     except OSError as exc:  # a missing input, or an output path that cannot be written

@@ -179,6 +179,22 @@ def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
     )
 
 
+def _check_probs(probs, m: int) -> np.ndarray:
+    """A link-probability matrix as floats, checked to be m x m, finite,
+    within [0, 1] and exactly symmetric."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (m, m):
+        raise ProbabilityRangeError(
+            f"probs must be a {m}x{m} matrix, got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise ProbabilityRangeError("link probabilities must be finite")
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
+        raise ProbabilityRangeError("link probabilities must lie in [0, 1]")
+    if not np.array_equal(probs, probs.T):
+        raise NonSymmetricError("link-probability matrix must be exactly symmetric")
+    return probs
+
+
 def validate_measure(measure: GeneratingMeasure) -> GeneratingMeasure:
     """Check every structural invariant; return a validated measure.
 
@@ -203,16 +219,7 @@ def validate_measure(measure: GeneratingMeasure) -> GeneratingMeasure:
         raise LengthVectorError(
             f"interval lengths must sum to 1 (got {total!r})")
 
-    probs = measure.probs
-    if probs.ndim != 2 or probs.shape != (m, m):
-        raise ProbabilityRangeError(
-            f"probs must be a {m}x{m} matrix, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ProbabilityRangeError("link probabilities must be finite")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ProbabilityRangeError("link probabilities must lie in [0, 1]")
-    if not np.array_equal(probs, probs.T):
-        raise NonSymmetricError("link-probability matrix must be exactly symmetric")
+    probs = _check_probs(measure.probs, m)
 
     if m ** k > 2 ** ENCODING_BITS:
         raise DepthOverflowError(

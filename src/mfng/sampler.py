@@ -10,9 +10,10 @@ Three ways to draw a graph:
   distributed like the naive sampler, and it accepts a different matrix per
   level, which is what the noisy variant needs.
 * ``fast_sample`` — the approximate box-dropping generator: draw a target
-  edge count from the closed-form moments, then repeatedly pick a category
-  box with probability proportional to its expected edge mass and drop a
-  Poisson number of edges into it.  Expected O(|E| log |V|) work.
+  edge count from the closed-form moments, then, in rounds of whole-array
+  work, pick category boxes with probability proportional to their expected
+  edge mass and drop a Poisson number of edges into each, until exactly the
+  target is placed.  Expected O(|E| log |V|) work.
 
 All samplers are deterministic given (inputs, seed).  ``noisy_sample`` with
 noise amplitude 0 consumes no randomness while building its schedule, so it
@@ -31,21 +32,30 @@ from .errors import (
     AllZeroMeasureError,
     DegenerateDiagonalError,
     DomainError,
-    NonSymmetricError,
-    ProbabilityRangeError,
     StalledError,
     UnsupportedMError,
 )
 from .features import Graph
-from .measure import EdgeMoments, GeneratingMeasure, _edge_moments_from_logs
-
-# Box draws, Poisson draws, and placement attempts are generated in batches
-# of this many boxes at a time; purely an implementation constant.
-_BOX_BATCH = 8192
+from .measure import EdgeMoments, GeneratingMeasure, _check_probs, _edge_moments_from_logs
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
 _POISSON_RATE_CAP = 1e12
+
+# A box stops drawing candidate pairs after this many draws.
+_MAX_ATTEMPTS_PER_BOX = 50
+
+# The fast sampler gives up once this many boxes in a row placed nothing
+# (empty box, zero Poisson draw, or every draw a self-pair or an existing
+# edge): the measure is too dense or too degenerate for the heuristic.
+_MAX_CONSECUTIVE_REJECTS = 10_000
+
+# Boxes drawn per round: about the remaining edge count times the accuracy,
+# within these bounds.  Boxes past the target still take pairs in their
+# round, pairs that earlier boxes would have retried into, so a round much
+# larger than the need thins out dense blocks.
+_MIN_ROUND_BOXES = 256
+_MAX_ROUND_BOXES = 1 << 16
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -145,18 +155,6 @@ def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     return Graph.from_pairs(n, np.column_stack([iu, iv]))
 
 
-def _check_level_matrix(probs: np.ndarray, m: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (m, m):
-        raise ProbabilityRangeError(
-            f"level matrix must be {m}x{m}, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ProbabilityRangeError("level matrix entries must lie in [0, 1]")
-    if not np.array_equal(probs, probs.T):
-        raise NonSymmetricError("level matrix must be exactly symmetric")
-    return probs
-
-
 def sample_by_intersection(
     n: int, level_matrices: Sequence[np.ndarray], lengths, rng=None
 ) -> Graph:
@@ -172,7 +170,7 @@ def sample_by_intersection(
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
     lengths = np.asarray(lengths, dtype=float)
     m = lengths.shape[0]
-    matrices = [_check_level_matrix(p, m) for p in level_matrices]
+    matrices = [_check_probs(p, m) for p in level_matrices]
     if not matrices:
         raise DomainError("need at least one level matrix")
     rng = _as_generator(rng)
@@ -225,30 +223,6 @@ def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
     return QTable(q=q, total=total, cum=cum)
 
 
-@dataclass(frozen=True)
-class FastSamplerConfig:
-    """Tuning knobs of the fast sampler.
-
-    ``accuracy`` divides the per-box Poisson rate (larger = more, smaller
-    boxes); ``max_attempts_per_box`` caps placement retries inside one box;
-    ``max_consecutive_rejects`` aborts the run when that many box draws in a
-    row place nothing (empty box, zero Poisson draw, or all attempts spent),
-    which flags measures too dense or degenerate for the heuristic.
-    """
-
-    accuracy: float = 1.0
-    max_attempts_per_box: int = 50
-    max_consecutive_rejects: int = 10_000
-
-    def __post_init__(self):
-        if not (self.accuracy > 0.0 and math.isfinite(self.accuracy)):
-            raise DomainError(f"accuracy must be positive, got {self.accuracy!r}")
-        if self.max_attempts_per_box < 1:
-            raise DomainError("max_attempts_per_box must be at least 1")
-        if self.max_consecutive_rejects < 1:
-            raise DomainError("max_consecutive_rejects must be at least 1")
-
-
 def _target_edge_moments(
     n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray
 ) -> EdgeMoments:
@@ -271,23 +245,49 @@ def _target_edge_moments(
 
 
 def fast_sample(
-    n: int, measure: GeneratingMeasure, config: FastSamplerConfig | None = None, rng=None
+    n: int, measure: GeneratingMeasure, rng=None, *, accuracy: float = 1.0
 ) -> Graph:
-    """Approximate sampler with expected O(|E| log |V|) running time."""
+    """Approximate sampler with expected O(|E| log |V|) running time.
+
+    ``accuracy`` divides every box's Poisson rate: a larger value drops
+    fewer edges into each of more boxes, which follows the measure more
+    closely at the cost of more box draws.
+    """
     return _fast_sample_levels(
-        n, [measure.probs] * measure.k, measure.lengths, config, rng)
+        n, [measure.probs] * measure.k, measure.lengths, accuracy, rng)
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of keys in a sorted key array."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
 
 
 def _fast_sample_levels(
     n: int,
     matrices: Sequence[np.ndarray],
     lengths,
-    config: FastSamplerConfig | None,
+    accuracy: float,
     rng,
 ) -> Graph:
+    """The box-dropping generator over one probability matrix per level.
+
+    Edges are placed in rounds.  A round draws a batch of boxes (ordered
+    pairs of category tuples) level by level from the Q tables, gives each
+    box a Poisson number of edges, capped at the box's distinct node pairs,
+    and then runs retry passes: every box that still misses edges draws one
+    candidate pair per missing edge, until it has its count or has spent
+    ``_MAX_ATTEMPTS_PER_BOX`` draws.  A candidate is kept unless it is a
+    self-pair, an edge of an earlier round, or a pair already taken in this
+    round; within one pass the earliest box wins.  Edges count in box order
+    and the run stops at exactly the drawn target.
+    """
     if n < 2:
         raise DomainError(f"fast sampling needs n >= 2, got {n}")
-    config = config or FastSamplerConfig()
+    if not (accuracy > 0.0 and math.isfinite(accuracy)):
+        raise DomainError(f"accuracy must be positive and finite, got {accuracy!r}")
     rng = _as_generator(rng)
     lengths = np.asarray(lengths, dtype=float)
     m = lengths.shape[0]
@@ -299,46 +299,21 @@ def _fast_sample_levels(
     target = int(min(max(rng.normal(moments.mean, moments.std), 0.0), float(max_edges)))
 
     index = CategoryIndex(encode_categories(_draw_levels(n, k, lengths, rng), m))
-
-    graph_nodes = index.nodes
     if target == 0:
         return Graph.empty(n)
 
-    max_attempts = config.max_attempts_per_box
-    max_rejects = config.max_consecutive_rejects
-    lam_div = config.accuracy
-    edge_keys: set[int] = set()
-    e_global = 0
-    consecutive_rejects = 0
+    placed = np.empty(0, dtype=np.int64)  # sorted keys u * n + v, u < v
+    streak = 0  # boxes in a row, up to the end of the last round, that placed nothing
+    while placed.size < target:
+        need = target - placed.size
+        boxes = int(min(max(need * accuracy, _MIN_ROUND_BOXES), _MAX_ROUND_BOXES))
 
-    def reject(boxes: int) -> None:
-        """Count boxes that placed nothing; give up once the streak is too long."""
-        nonlocal consecutive_rejects
-        consecutive_rejects += boxes
-        if consecutive_rejects > max_rejects:
-            raise StalledError(
-                f"no edge placed in {consecutive_rejects} consecutive boxes "
-                f"({e_global} of {target} edges placed)",
-                placed=e_global, target=target, streak=consecutive_rejects)
-
-    # Placement coordinates are pre-drawn vectorized for the boxes that will
-    # actually try to place; a short prefix covers almost every box, and the
-    # rare box that exhausts it (collisions, self-pairs) draws the rest of
-    # its attempt budget on its own.
-    prefix = min(4, max_attempts)
-
-    while e_global < target:
-        batch = _BOX_BATCH
-        ci = np.empty((batch, k), dtype=np.int64)
-        cj = np.empty((batch, k), dtype=np.int64)
-        for h in range(k):
-            i_h, j_h = tables[h].sample_pairs(rng, batch)
-            ci[:, h] = i_h
-            cj[:, h] = j_h
-        code_u = encode_categories(ci, m)
-        code_v = encode_categories(cj, m)
-        l_u = lengths[ci].prod(axis=1)
-        l_v = lengths[cj].prod(axis=1)
+        code_u = code_v = np.zeros(boxes, dtype=np.int64)
+        l_u = l_v = np.ones(boxes)
+        for table in tables:
+            i, j = table.sample_pairs(rng, boxes)
+            code_u, code_v = code_u * m + i, code_v * m + j
+            l_u, l_v = l_u * lengths[i], l_v * lengths[j]
         pos_u = index.lookup(code_u)
         pos_v = index.lookup(code_v)
         valid = (pos_u >= 0) & (pos_v >= 0)
@@ -356,70 +331,58 @@ def _fast_sample_levels(
         # Rate is actual over expected pairs: an over-occupied box must absorb
         # proportionally more edges, or light boxes soak up more than their
         # share and the clustering comes out too high.
-        lam = np.where(valid, cnt_u * cnt_v / (lam_div * pair_mass), 0.0)
-        e_add = rng.poisson(np.minimum(lam, _POISSON_RATE_CAP))
+        lam = np.where(valid, cnt_u * cnt_v / (accuracy * pair_mass), 0.0)
+        want = np.minimum(rng.poisson(np.minimum(lam, _POISSON_RATE_CAP)),
+                          np.where(same, cnt_u * (cnt_u - 1) // 2, cnt_u * cnt_v))
 
-        active = np.nonzero(valid & (e_add > 0))[0]
-        if active.size:
-            su = index.starts[pos_u[active]]
-            sv = index.starts[pos_v[active]]
-            cu = cnt_u[active]
-            cv = cnt_v[active]
-            pre_u = rng.integers(0, cu[:, None], size=(active.size, prefix))
-            pre_v = rng.integers(0, cv[:, None], size=(active.size, prefix))
-            cand_u = graph_nodes[su[:, None] + pre_u].tolist()
-            cand_v = graph_nodes[sv[:, None] + pre_v].tolist()
-            wants = e_add[active].tolist()
-            cu_list = cu.tolist()
-            cv_list = cv.tolist()
-            su_list = su.tolist()
-            sv_list = sv.tolist()
-        else:
-            wants = []
+        got = np.zeros(boxes, dtype=np.int64)
+        spent = np.zeros(boxes, dtype=np.int64)
+        taken = np.empty(0, dtype=np.int64)  # sorted keys placed in this round
+        owners, keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        live = np.flatnonzero(want)
+        while live.size:
+            draws = np.minimum(want[live] - got[live], _MAX_ATTEMPTS_PER_BOX - spent[live])
+            spent[live] += draws
+            owner = np.repeat(live, draws)
+            u = index.nodes[index.starts[pos_u[owner]] + rng.integers(0, cnt_u[owner])]
+            v = index.nodes[index.starts[pos_v[owner]] + rng.integers(0, cnt_v[owner])]
+            key = np.minimum(u, v) * n + np.maximum(u, v)
+            fresh = np.flatnonzero((u != v) & ~_contains(placed, key) & ~_contains(taken, key))
+            fresh_keys, first = np.unique(key[fresh], return_index=True)
+            taken = np.insert(taken, np.searchsorted(taken, fresh_keys), fresh_keys)
+            fresh = fresh[np.sort(first)]
+            owners.append(owner[fresh])
+            keys.append(key[fresh])
+            got += np.bincount(owner[fresh], minlength=boxes)
+            live = live[(got[live] < want[live]) & (spent[live] < _MAX_ATTEMPTS_PER_BOX)]
 
-        prev = -1
-        done = False
-        for i, b in enumerate(active.tolist()):
-            gap = b - prev - 1
-            prev = b
-            if gap:
-                reject(gap)
-            if e_global >= target:
-                done = True
-                break
-            placed = 0
-            want = wants[i]
-            us = cand_u[i]
-            vs = cand_v[i]
-            a = 0
-            while placed < want and a < max_attempts:
-                if a == len(us):  # prefix spent; draw the rest of the budget
-                    us = us + graph_nodes[
-                        su_list[i] + rng.integers(0, cu_list[i], size=max_attempts - a)
-                    ].tolist()
-                    vs = vs + graph_nodes[
-                        sv_list[i] + rng.integers(0, cv_list[i], size=max_attempts - a)
-                    ].tolist()
-                u = us[a]
-                v = vs[a]
-                a += 1
-                if u == v:
-                    continue
-                key = u * n + v if u < v else v * n + u
-                if key in edge_keys:
-                    continue
-                edge_keys.add(key)
-                placed += 1
-            e_global += placed
-            if placed == 0:
-                reject(1)
-            else:
-                consecutive_rejects = 0
-        if not done:
-            reject(batch - 1 - prev)
+        # Runs of boxes that placed nothing, the first one continuing the
+        # last round's; the run at the end counts only if the round fell short.
+        cum = np.cumsum(got)
+        short = cum[-1] < need
+        end = boxes if short else int(np.searchsorted(cum, need)) + 1
+        run_ends = np.flatnonzero(got[:end])
+        if short:
+            run_ends = np.append(run_ends, end)
+        runs = np.diff(run_ends, prepend=-1) - 1
+        runs[0] += streak
+        over = np.flatnonzero(runs > _MAX_CONSECUTIVE_REJECTS)
+        if over.size:
+            before = run_ends[over[0]] - 1  # the run's last box; cum there excludes the run
+            done = placed.size + (int(cum[before]) if before >= 0 else 0)
+            streak = int(runs[over[0]])
+            raise StalledError(
+                f"no edge placed in {streak} consecutive boxes "
+                f"({done} of {target} edges placed)",
+                placed=done, target=target, streak=streak)
+        streak = int(runs[-1])
 
-    keys = np.fromiter(edge_keys, dtype=np.int64, count=len(edge_keys))
-    return Graph.from_pairs(n, np.column_stack([keys // n, keys % n]))
+        # The round's edges in box order, cut at the target.
+        order = np.argsort(np.concatenate(owners), kind="stable")[:need]
+        new = np.sort(np.concatenate(keys)[order])
+        placed = np.insert(placed, np.searchsorted(placed, new), new)
+
+    return Graph.from_pairs(n, np.column_stack([placed // n, placed % n]))
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +440,23 @@ def noisy_sample(
     n: int,
     measure: GeneratingMeasure,
     b: float,
-    config: FastSamplerConfig | None = None,
     rng=None,
     method: str = "fast",
+    *,
+    accuracy: float = 1.0,
 ) -> Graph:
     """Sample with independently perturbed per-level matrices.
 
-    ``method="fast"`` runs the box-dropping sampler over the schedule;
+    ``method="fast"`` runs the box-dropping sampler over the schedule, with
+    ``accuracy`` as in :func:`fast_sample`;
     ``method="exact"`` intersects per-level graphs.  Either way, b == 0
     reproduces the corresponding plain sampler bit for bit at a fixed seed.
     """
     rng = _as_generator(rng)
     schedule = make_noise_schedule(measure, b, rng)
     if method == "fast":
-        return _fast_sample_levels(n, schedule.level_matrices, measure.lengths, config, rng)
+        return _fast_sample_levels(
+            n, schedule.level_matrices, measure.lengths, accuracy, rng)
     if method == "exact":
         return sample_by_intersection(n, schedule.level_matrices, measure.lengths, rng)
     raise DomainError(f"unknown sampling method: {method!r}")

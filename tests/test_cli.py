@@ -177,6 +177,17 @@ def test_written_edges_are_sorted_and_canonical(tmp_path):
     assert all(u < v for u, v in data)
 
 
+def test_edge_list_write_matches_per_line_format_across_slices(tmp_path, monkeypatch):
+    monkeypatch.setattr(mfng.cli, "_WRITE_SLICE", 3)
+    g = mfng.naive_sample(60, mfng.make_measure([0.5, 0.5], [[0.6, 0.3], [0.3, 0.5]], k=2),
+                          np.random.default_rng(3))
+    assert g.edge_count > 3 and g.edge_count % 3 != 0
+    path = tmp_path / "out.tsv"
+    write_edge_list(g, str(path), ["a", "b"])
+    want = "# a\n# b\n" + "".join(f"{u}\t{v}\n" for u, v in g.edge_array().tolist())
+    assert path.read_bytes() == want.encode()
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -294,6 +305,7 @@ def test_usage_error_bad_depth(capsys, graph_file, tmp_path):
     code, _, err = run(capsys, "fit", "--graph", graph_file, "--m", "2",
                        "--k", "banana", "--out", str(tmp_path / "x.json"))
     assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
 
 
 def test_data_error_missing_file(capsys, tmp_path):
@@ -330,6 +342,31 @@ def test_data_error_invalid_measure(capsys, tmp_path):
     code, _, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
     assert code == EXIT_DATA
     assert "symmetric" in err
+
+
+def test_data_error_edge_list_not_utf8(capsys, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    code, out, err = run(capsys, "features", "--graph", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: not UTF-8")
+
+
+def test_data_error_measure_not_utf8(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"m": \xff}')
+    code, out, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_data_error_bad_accuracy(capsys, tmp_path, block_file):
+    code, out, err = run(capsys, "sample", "--measure", block_file, "--nodes", "50",
+                         "--accuracy", "0", "--out", str(tmp_path / "g.tsv"))
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "accuracy" in err
 
 
 def test_data_error_boolean_measure(capsys, tmp_path):

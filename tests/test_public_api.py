@@ -21,7 +21,7 @@ LIBRARY_SURFACE = {
     # fitting
     "FitConfig", "FitResult", "fit",
     # sampling
-    "FastSamplerConfig", "fast_sample", "naive_sample", "noisy_sample",
+    "fast_sample", "naive_sample", "noisy_sample",
     "sample_by_intersection",
 }
 

@@ -14,8 +14,8 @@ from mfng import (
     UnsupportedMError,
 )
 from mfng.sampler import (
+    _MAX_CONSECUTIVE_REJECTS,
     CategoryIndex,
-    FastSamplerConfig,
     _draw_levels,
     _target_edge_moments,
     build_q,
@@ -226,33 +226,58 @@ def test_fast_edge_count_concentrates(block_measure):
 
 
 def test_fast_respects_accuracy_knob(block_measure):
-    cfg = FastSamplerConfig(accuracy=4.0)
-    g = mfng.fast_sample(800, block_measure, cfg, np.random.default_rng(2))
+    g = mfng.fast_sample(800, block_measure, np.random.default_rng(2), accuracy=4.0)
     want = mfng.expected_edges(block_measure, 800)
     assert abs(g.edge_count - want) / want < 0.25
+
+
+def test_fast_stops_at_the_drawn_target(block_measure):
+    # The target is the first draw of the generator: a normal around the
+    # closed-form edge mean, truncated to an int.
+    n = 2000
+    moments = _target_edge_moments(n, [block_measure.probs] * block_measure.k,
+                                   block_measure.lengths)
+    for i in range(5):
+        target = int(max(spawned(17, i).normal(moments.mean, moments.std), 0.0))
+        assert mfng.fast_sample(n, block_measure, rng=spawned(17, i)).edge_count == target
+
+
+def test_fast_keeps_dense_core_cliques():
+    # A p = 1 core makes later boxes collide with earlier edges; without
+    # per-box retries, or with rounds larger than the remaining need, the
+    # core fills less and the triangle count falls to about half.
+    meas = mfng.make_measure([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], k=3)
+    n, runs = 400, 60
+    c3 = s2 = 0
+    for i in range(runs):
+        g = mfng.fast_sample(n, meas, rng=spawned(40, i))
+        c3 += mfng.count_triangles(g)
+        s2 += mfng.count_stars(g, 2)
+    assert c3 / runs >= 0.65 * mfng.expected_t_cliques(meas, n, 3)
+    assert s2 / runs >= 0.85 * mfng.expected_d_stars(meas, n, 2)
 
 
 def test_fast_stalls_on_unreachable_target():
     # Both nodes of the only populated block are connected after one edge;
     # the drawn target asks for more, so the sampler must give up.
     meas = mfng.make_measure([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]], k=1)
-    cfg = FastSamplerConfig(max_consecutive_rejects=500)
     with pytest.raises(StalledError) as info:
-        mfng.fast_sample(6, meas, cfg, np.random.default_rng(13))
+        mfng.fast_sample(6, meas, rng=np.random.default_rng(13))
     err = info.value
-    assert err.streak > cfg.max_consecutive_rejects
+    assert err.streak > _MAX_CONSECUTIVE_REJECTS
     assert 0 < err.placed < err.target
     assert str(err) == (f"no edge placed in {err.streak} consecutive boxes "
                         f"({err.placed} of {err.target} edges placed)")
 
 
-def test_fast_config_validation():
-    with pytest.raises(DomainError):
-        FastSamplerConfig(accuracy=0.0)
-    with pytest.raises(DomainError):
-        FastSamplerConfig(max_attempts_per_box=0)
-    with pytest.raises(DomainError):
-        FastSamplerConfig(max_consecutive_rejects=0)
+def test_fast_config_validation(block_measure):
+    for accuracy in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mfng.fast_sample(100, block_measure, np.random.default_rng(0),
+                             accuracy=accuracy)
+        with pytest.raises(DomainError):
+            mfng.noisy_sample(100, block_measure, 0.1, np.random.default_rng(0),
+                              accuracy=accuracy)
 
 
 def test_target_moments_match_constant_schedule(block_measure):
