@@ -340,6 +340,17 @@ def _depth_arg(text: str) -> int | None:
             f"must be an integer or 'auto', got {text!r}") from None
 
 
+def _seed_arg(text: str) -> int:
+    """--seed: a nonnegative integer, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfng", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_depth_arg, default="auto",
                    help="recursion depth, or 'auto' to sweep around log_m(n)")
     p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True, help="output measure JSON path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_fit)
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fast-sampler accuracy parameter (Poisson rate divisor)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="noise amplitude for --method noisy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True, help="output edge-list path")
     p.set_defaults(func=cmd_sample)
 

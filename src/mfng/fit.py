@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, ZeroTargetFeatureError
 from .measure import (
@@ -37,6 +36,19 @@ _LOGIT_CLIP = 1e-12
 _FATOL = 1e-10
 _XATOL = 1e-6
 _MAX_ITERATIONS = 2000
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call.
+
+    Deferring the import keeps scipy out of every process that does not fit.
+    ``local_optimize`` calls this module attribute by name, so tests and
+    tracers can rebind ``mfng.fit.minimize``; that seam is why this wrapper
+    exists instead of a local import inside ``local_optimize``.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def max_depth(m: int) -> int:
@@ -256,6 +268,8 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
     """
     if config.restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {config.restarts}")
+    if config.seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {config.seed}")
     items = _target_items(target, config.weights)  # validates up front
     depths = config.depth_candidates(n)
     best = None  # (objective, k, restart, measure)

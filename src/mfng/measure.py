@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     CliqueSizeError,
@@ -366,6 +365,9 @@ def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"expected_degree_counts needs n >= 1, got {n}")
+    # Imported here so that importing mfng (and every CLI command) needs no scipy.
+    from scipy.special import gammaln, xlog1py, xlogy
+
     m, k = measure.m, measure.k
     comps = np.array([np.bincount(combo, minlength=m)
                       for combo in itertools.combinations_with_replacement(range(m), k)])

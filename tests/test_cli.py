@@ -1,6 +1,10 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,18 @@ def test_usage_error_bad_depth(capsys, graph_file, tmp_path):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("command", [
+    ("sample", "--measure", "{measure}", "--nodes", "50"),
+    ("fit", "--graph", "{graph}", "--m", "2", "--k", "4", "--restarts", "1"),
+])
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_usage_error_bad_seed(capsys, tmp_path, block_file, graph_file, command, seed):
+    argv = [a.format(measure=block_file, graph=graph_file) for a in command]
+    code, _, err = run(capsys, *argv, "--seed", seed, "--out", str(tmp_path / "x"))
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_data_error_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "features", "--graph", str(tmp_path / "nope.tsv"))
     assert code == EXIT_DATA
@@ -402,3 +418,62 @@ def test_runtime_error_stalled_sampler(capsys, tmp_path):
                        "--seed", "13", "--out", str(tmp_path / "g.tsv"))
     assert code == EXIT_RUNTIME
     assert "consecutive" in err
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is loaded only by what needs it
+# ---------------------------------------------------------------------------
+
+# Executes each statement of the JSON list in sys.argv[1] in one namespace
+# and, on its last stdout line, prints the scipy modules loaded after each.
+_SCIPY_PROBE = """
+import json, sys
+loaded = []
+for statement in json.loads(sys.argv[1]):
+    exec(statement)
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def scipy_loaded_after(*statements):
+    """Run statements in a fresh interpreter; scipy modules loaded after each."""
+    src = str(Path(mfng.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(statements)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def cli_statement(*argv):
+    return f"assert mfng.cli.main({list(argv)!r}) == 0"
+
+
+def test_commands_other_than_fit_start_without_scipy(tmp_path, block_file, graph_file):
+    loaded = scipy_loaded_after(
+        "import mfng, mfng.cli",
+        cli_statement("sample", "--measure", block_file, "--nodes", "60",
+                      "--seed", "3", "--out", str(tmp_path / "s.tsv")),
+        cli_statement("features", "--graph", graph_file),
+        cli_statement("degree-dist", "--graph", graph_file,
+                      "--out", str(tmp_path / "d.csv")),
+        cli_statement("compare", "--graph", graph_file, "--measure", block_file),
+        cli_statement("moments", "--measure", block_file, "--nodes", "100"),
+    )
+    assert loaded == [[]] * 6
+
+
+def test_fit_and_expected_degree_counts_load_scipy(tmp_path, graph_file, block_file):
+    loaded = scipy_loaded_after(
+        "import mfng, mfng.cli",
+        cli_statement("fit", "--graph", graph_file, "--m", "2", "--k", "4",
+                      "--restarts", "1", "--out", str(tmp_path / "f.json")),
+    )
+    assert loaded[0] == [] and "scipy.optimize" in loaded[1]
+    loaded = scipy_loaded_after(
+        "import mfng, mfng.cli",
+        f"mfng.expected_degree_counts(mfng.cli.read_measure({block_file!r}), 50)",
+    )
+    assert loaded[0] == [] and "scipy.special" in loaded[1]

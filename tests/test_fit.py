@@ -126,6 +126,18 @@ def test_decode_params_logistic_limit_is_silent():
     assert probs[0, 0] == 0.0
 
 
+def test_minimize_wrapper_matches_scipy():
+    from scipy.optimize import minimize as scipy_minimize, rosen
+
+    x0 = np.array([-1.2, 1.0, 0.8])
+    ours = fit_module.minimize(rosen, x0, method="Nelder-Mead")
+    theirs = scipy_minimize(rosen, x0, method="Nelder-Mead")
+    assert np.array_equal(ours.x, theirs.x)
+    assert ours.fun == theirs.fun
+    assert ours.nfev == theirs.nfev
+    assert ours.success == theirs.success
+
+
 def test_local_optimize_survives_an_underflowed_length(monkeypatch, block_measure_k4):
     n = 400
     target = exact_target(block_measure_k4, n)
@@ -159,6 +171,13 @@ def test_depth_capped_by_encoding():
     assert max_depth(3) == 39
     with pytest.raises(DomainError):
         FitConfig(m=2, k=63).depth_candidates(100)
+
+
+@pytest.mark.parametrize("settings", [{"restarts": 0}, {"seed": -3}])
+def test_fit_rejects_bad_restarts_and_seed(block_measure_k4, settings):
+    target = exact_target(block_measure_k4, 100)
+    with pytest.raises(DomainError):
+        mfng.fit(target, 100, FitConfig(m=2, k=4, **settings))
 
 
 def test_fit_deterministic(block_measure_k4):
