@@ -77,7 +77,7 @@ class DegenerateDiagonalError(MfngError, ValueError):
 
 
 class ZeroTargetFeatureError(MfngError, ValueError):
-    """A fit target contains a zero count for a positively weighted feature."""
+    """A fit target contains a zero count for a fitted feature."""
 
 
 class ZeroWedgesError(MfngError):

@@ -16,18 +16,14 @@ keys ``u * n + w``.  A 4-clique u < v < w < x extends its triangle
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GraphTooLargeError, ZeroWedgesError
+from .errors import DomainError, ZeroWedgesError
 from .measure import DEFAULT_FEATURES, FeatureVector, parse_feature
-
-# Exhaustive reference counting enumerates subsets; keep it to toy graphs.
-BRUTE_FORCE_NODE_LIMIT = 14
 
 
 class Graph:
@@ -252,28 +248,33 @@ def count_4cliques(graph: Graph) -> int:
     return total
 
 
+def _counter(key: str):
+    """The exact counter of one feature key, as a function of the graph.
+
+    The counters are looked up by their module names when a lambda runs, so
+    a counter rebound on this module (by a tracer or a test) is the one used.
+    """
+    kind, order = parse_feature(key)
+    if kind == "edges" or (kind == "clique" and order == 2):
+        return lambda graph: graph.edge_count
+    if kind == "star":
+        return lambda graph: count_stars(graph, order)
+    if order == 3:
+        return lambda graph: count_triangles(graph)
+    if order == 4:
+        return lambda graph: count_4cliques(graph)
+    raise DomainError(f"clique counting supports C2..C4, got C{order}")
+
+
 def feature_vector(
     graph: Graph, features: Sequence[str] = DEFAULT_FEATURES
 ) -> FeatureVector:
-    """Count the requested features; all values are exact integers."""
-    edges = None
-    stars: dict[int, int] = {}
-    cliques: dict[int, int] = {}
-    for key in features:
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            edges = graph.edge_count
-        elif kind == "star":
-            stars[order] = count_stars(graph, order)
-        elif order == 2:
-            cliques[2] = graph.edge_count
-        elif order == 3:
-            cliques[3] = count_triangles(graph)
-        elif order == 4:
-            cliques[4] = count_4cliques(graph)
-        else:
-            raise DomainError(f"clique counting supports C2..C4, got C{order}")
-    return FeatureVector(edges=edges, stars=stars, cliques=cliques)
+    """Count the requested features; all values are exact integers.
+
+    Every key is checked before anything is counted.
+    """
+    counters = {key: _counter(key) for key in features}
+    return FeatureVector({key: count(graph) for key, count in counters.items()})
 
 
 @dataclass(frozen=True)
@@ -308,51 +309,3 @@ def clustering_coefficient(graph: Graph) -> float:
     if wedges == 0:
         raise ZeroWedgesError("clustering coefficient undefined: the graph has no wedges")
     return 3.0 * count_triangles(graph) / float(wedges)
-
-
-def brute_force_counts(
-    graph: Graph, features: Sequence[str] = DEFAULT_FEATURES
-) -> FeatureVector:
-    """Count features by raw subset enumeration (independent reference).
-
-    Deliberately shares nothing with the fast counters: stars check every
-    (center, leaf-set) pair, cliques check all pairwise adjacencies in every
-    t-subset.  Limited to tiny graphs.
-    """
-    n = graph.n
-    if n > BRUTE_FORCE_NODE_LIMIT:
-        raise GraphTooLargeError(
-            f"brute-force counting is capped at {BRUTE_FORCE_NODE_LIMIT} nodes, got {n}")
-    adj = [[False] * n for _ in range(n)]
-    for u, v in graph.edge_array().tolist():
-        adj[u][v] = adj[v][u] = True
-
-    def star_count(d: int) -> int:
-        total = 0
-        nodes = range(n)
-        for center in nodes:
-            others = [v for v in nodes if v != center]
-            for leaves in itertools.combinations(others, d):
-                if all(adj[center][leaf] for leaf in leaves):
-                    total += 1
-        return total
-
-    def clique_count(t: int) -> int:
-        total = 0
-        for group in itertools.combinations(range(n), t):
-            if all(adj[a][b] for a, b in itertools.combinations(group, 2)):
-                total += 1
-        return total
-
-    edges = None
-    stars: dict[int, int] = {}
-    cliques: dict[int, int] = {}
-    for key in features:
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            edges = sum(adj[u][v] for u in range(n) for v in range(u + 1, n))
-        elif kind == "star":
-            stars[order] = star_count(order)
-        else:
-            cliques[order] = clique_count(order)
-    return FeatureVector(edges=edges, stars=stars, cliques=cliques)

@@ -1,12 +1,12 @@
 """Moment matching: recover a generating measure from observed counts.
 
-The objective is the weighted sum of relative errors between the observed
-feature counts and the measure's expectations.  It is non-convex with many
-local minima, so the fit runs a derivative-free simplex search from many
-random starting points — over a small range of candidate depths when none
-is given — and keeps the best.  Every restart draws its start from its own
-RNG stream keyed by (seed, depth, restart), so results are reproducible and
-adding restarts never discards earlier ones.
+The objective is the sum of relative errors between the observed feature
+counts and the measure's expectations, over the keys of the target.  It is
+non-convex with many local minima, so the fit runs a derivative-free
+simplex search from many random starting points — over a small range of
+candidate depths when none is given — and keeps the best.  Every restart
+draws its start from its own RNG stream keyed by (seed, depth, restart), so
+results are reproducible and adding restarts never discards earlier ones.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +70,11 @@ class FitConfig:
     """Fit settings.
 
     ``k=None`` sweeps depths around ceil(log_m n); a given ``k`` pins it.
-    ``weights`` maps feature keys to nonnegative weights (missing keys get
-    1.0).
     """
 
     m: int
     k: int | None = None
     restarts: int = 200
-    weights: Mapping[str, float] | None = None
     seed: int = 0
 
     def depth_candidates(self, n: int) -> tuple[int, ...]:
@@ -110,6 +107,8 @@ class FitResult:
 
 
 def _expected_feature(measure: GeneratingMeasure, n: int, key: str) -> float:
+    # measure.expected_feature_vector's dispatch, through this module's names
+    # of the closed forms so that a tracer can time the fit's calls to them.
     kind, order = parse_feature(key)
     if kind == "edges":
         return expected_edges(measure, n)
@@ -118,47 +117,35 @@ def _expected_feature(measure: GeneratingMeasure, n: int, key: str) -> float:
     return expected_t_cliques(measure, n, order)
 
 
-def _target_items(
-    target: FeatureVector, weights: Mapping[str, float] | None
-) -> list[tuple[str, float, float]]:
-    """(key, observed, weight) triples for every positively weighted feature."""
-    items = []
-    for key, observed in target.items():
-        w = 1.0 if weights is None else float(weights.get(key, 1.0))
-        if w < 0.0:
-            raise DomainError(f"feature weight for {key} must be nonnegative, got {w}")
-        if w == 0.0:
-            continue
+def _target_items(target: FeatureVector) -> list[tuple[str, float]]:
+    """(key, observed) pairs for every feature of the target, each checked
+    to be positive."""
+    items = target.items()
+    for key, observed in items:
         if not observed > 0.0:
             raise ZeroTargetFeatureError(
-                f"target feature {key} is {observed}; positively weighted "
-                "features must be positive")
-        items.append((key, float(observed), w))
+                f"target feature {key} is {observed}; fitted features must be positive")
     if not items:
-        raise DomainError("no positively weighted target features to fit")
-    return items
+        raise DomainError("no target features to fit")
+    return [(key, float(observed)) for key, observed in items]
 
 
-def objective(
-    measure: GeneratingMeasure,
-    n: int,
-    target: FeatureVector,
-    weights: Mapping[str, float] | None = None,
-) -> float:
-    """Weighted relative moment mismatch; +inf if an expectation blows up."""
-    return _loss(measure, n, _target_items(target, weights))
+def objective(measure: GeneratingMeasure, n: int, target: FeatureVector) -> float:
+    """Relative moment mismatch summed over the target's keys; +inf if an
+    expectation blows up."""
+    return _loss(measure, n, _target_items(target))
 
 
 def _loss(
-    measure: GeneratingMeasure, n: int, items: Sequence[tuple[str, float, float]]
+    measure: GeneratingMeasure, n: int, items: Sequence[tuple[str, float]]
 ) -> float:
-    """The objective over pre-validated (key, observed, weight) triples."""
+    """The objective over pre-validated (key, observed) pairs."""
     total = 0.0
-    for key, observed, w in items:
+    for key, observed in items:
         expected = _expected_feature(measure, n, key)
         if not math.isfinite(expected):
             return math.inf
-        total += w * abs(observed - expected) / observed
+        total += abs(observed - expected) / observed
     return total
 
 
@@ -229,7 +216,6 @@ def local_optimize(
     k: int,
     n: int,
     target: FeatureVector,
-    weights: Mapping[str, float] | None = None,
 ) -> tuple[GeneratingMeasure, float]:
     """Simplex descent from one starting point.
 
@@ -237,7 +223,7 @@ def local_optimize(
     than the starting point's objective.
     """
     m = int(lengths.shape[0])
-    items = _target_items(target, weights)
+    items = _target_items(target)
 
     def loss(x: np.ndarray) -> float:
         p, l = _decode_params(x, m)
@@ -270,7 +256,7 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
         raise DomainError(f"restarts must be at least 1, got {config.restarts}")
     if config.seed < 0:
         raise DomainError(f"seed must be nonnegative, got {config.seed}")
-    items = _target_items(target, config.weights)  # validates up front
+    items = _target_items(target)  # validates up front
     depths = config.depth_candidates(n)
     best = None  # (objective, k, restart, measure)
     best_by_depth: dict[int, float] = {}
@@ -280,15 +266,14 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
             rng = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(k, r)))
             probs0, lengths0 = random_init(config.m, rng)
-            measure, obj = local_optimize(
-                probs0, lengths0, k, n, target, weights=config.weights)
+            measure, obj = local_optimize(probs0, lengths0, k, n, target)
             depth_best = min(depth_best, obj)
             if best is None or obj < best[0]:
                 best = (obj, k, r, measure)
         best_by_depth[k] = depth_best
     obj, k, r, measure = best
     ratios = {key: _expected_feature(measure, n, key) / observed
-              for key, observed, _ in items}
+              for key, observed in items}
     return FitResult(
         measure=measure, objective=obj, ratios=ratios, k=k, restart=r,
         best_by_depth=best_by_depth, restarts=config.restarts,

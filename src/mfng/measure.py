@@ -49,6 +49,9 @@ DEFAULT_FEATURES = ("edges", "S2", "S3", "S4", "C3", "C4")
 
 _FEATURE_RE = re.compile(r"^(S|C)([0-9]+)$")
 
+# Feature kinds in canonical order, as parse_feature names them.
+_KINDS = ("edges", "star", "clique")
+
 
 @dataclass(frozen=True)
 class GeneratingMeasure:
@@ -96,57 +99,40 @@ class CliqueNumberEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A bag of subgraph-count features.
+    """Subgraph-count features as one ordered map from key to value.
 
-    ``edges`` is the edge count (or ``None`` if absent), ``stars`` maps the
-    star order d to the d-star count S_d, and ``cliques`` maps the clique
-    order t to the t-clique count C_t.  Values may be exact integers (graph
-    counts) or floats (expectations).
+    Keys are stored in canonical spelling and order: "edges", then the
+    d-star counts "S<d>" by d, then the t-clique counts "C<t>" by t.  Every
+    key is checked by :func:`parse_feature` once, on construction, and a
+    key given twice (say "S2" and "S02") keeps its last value.  Values may
+    be exact integers (graph counts) or floats (expectations).
     """
 
-    edges: float | None = None
-    stars: Mapping[int, float] = field(default_factory=dict)
-    cliques: Mapping[int, float] = field(default_factory=dict)
+    data: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        ranked = {}
+        for key, value in self.data.items():
+            kind, order = parse_feature(key)
+            name = "edges" if kind == "edges" else f"{kind[0].upper()}{order}"
+            ranked[(_KINDS.index(kind), order)] = (name, value)
+        object.__setattr__(self, "data", dict(ranked[rank] for rank in sorted(ranked)))
 
     def keys(self) -> tuple[str, ...]:
-        """Feature keys present, in canonical order (edges, S*, C*)."""
-        keys = []
-        if self.edges is not None:
-            keys.append("edges")
-        keys.extend(f"S{d}" for d in sorted(self.stars))
-        keys.extend(f"C{t}" for t in sorted(self.cliques))
-        return tuple(keys)
+        return tuple(self.data)
 
     def value(self, key: str):
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            if self.edges is None:
-                raise KeyError(key)
-            return self.edges
-        if kind == "star":
-            return self.stars[order]
-        return self.cliques[order]
+        return self.data[key]
 
     def items(self):
-        return [(key, self.value(key)) for key in self.keys()]
+        return list(self.data.items())
 
     def as_dict(self) -> dict:
-        return dict(self.items())
+        return dict(self.data)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, float]) -> "FeatureVector":
-        edges = None
-        stars: dict[int, float] = {}
-        cliques: dict[int, float] = {}
-        for key, value in mapping.items():
-            kind, order = parse_feature(key)
-            if kind == "edges":
-                edges = value
-            elif kind == "star":
-                stars[order] = value
-            else:
-                cliques[order] = value
-        return cls(edges=edges, stars=stars, cliques=cliques)
+        return cls(mapping)
 
 
 def parse_feature(key: str) -> tuple[str, int]:
@@ -406,20 +392,18 @@ def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEs
     return CliqueNumberEstimate(t_star=t_star, capped=capped)
 
 
+def _expected_feature(measure: GeneratingMeasure, n: int, key: str) -> float:
+    kind, order = parse_feature(key)
+    if kind == "edges":
+        return expected_edges(measure, n)
+    if kind == "star":
+        return expected_d_stars(measure, n, order)
+    return expected_t_cliques(measure, n, order)
+
+
 def expected_feature_vector(
     measure: GeneratingMeasure, n: int, features: Sequence[str] = DEFAULT_FEATURES
 ) -> FeatureVector:
     """Evaluate several expectations at once; entries match the
     single-feature operations exactly (they are the same calls)."""
-    edges = None
-    stars: dict[int, float] = {}
-    cliques: dict[int, float] = {}
-    for key in features:
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            edges = expected_edges(measure, n)
-        elif kind == "star":
-            stars[order] = expected_d_stars(measure, n, order)
-        else:
-            cliques[order] = expected_t_cliques(measure, n, order)
-    return FeatureVector(edges=edges, stars=stars, cliques=cliques)
+    return FeatureVector({key: _expected_feature(measure, n, key) for key in features})

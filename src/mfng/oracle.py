@@ -3,7 +3,8 @@
 Everything here is deliberately slow and independent: pattern probabilities
 come from enumerating all category tuples with plain Python arithmetic, and
 expectations multiply them by explicitly counted placements.  Degree
-counts unwind the star identity in exact rationals.  The Monte Carlo helper
+counts unwind the star identity in exact rationals, and graph features are
+counted by checking every subset of nodes.  The Monte Carlo helper
 estimates the same quantities by sampling.  None of it reuses the formulas
 it exists to check.
 """
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, GraphTooLargeError, PatternTooLargeError
-from .features import feature_vector
+from .features import Graph, feature_vector
 from .measure import DEFAULT_FEATURES, FeatureVector, GeneratingMeasure, parse_feature
 from .sampler import naive_sample
 
@@ -36,6 +37,9 @@ MAX_EXACT_NODES = 12
 MAX_DEGREE_COUNT_NODES = 64
 
 MIN_MC_SAMPLES = 100
+
+# Exhaustive reference counting enumerates subsets; keep it to toy graphs.
+BRUTE_FORCE_NODE_LIMIT = 14
 
 
 def exact_subgraph_probability(
@@ -97,29 +101,24 @@ def exact_expected_features(
             f"exhaustive expectations are capped at n = {MAX_EXACT_NODES}, got {n}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    edges = None
-    stars: dict[int, float] = {}
-    cliques: dict[int, float] = {}
-    for key in features:
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            if n < 2:
-                raise DomainError("edge expectation needs n >= 2")
-            prob = exact_subgraph_probability(measure, [(0, 1)], num_nodes=2)
-            edges = math.comb(n, 2) * prob
-        elif kind == "star":
-            if not 1 <= order <= n - 1:
-                raise DomainError(f"star order {order} infeasible on {n} nodes")
-            prob = exact_subgraph_probability(
-                measure, _star_pattern(order), num_nodes=order + 1)
-            stars[order] = n * math.comb(n - 1, order) * prob
-        else:
-            if not 2 <= order <= n:
-                raise DomainError(f"clique order {order} infeasible on {n} nodes")
-            prob = exact_subgraph_probability(
-                measure, _clique_pattern(order), num_nodes=order)
-            cliques[order] = math.comb(n, order) * prob
-    return FeatureVector(edges=edges, stars=stars, cliques=cliques)
+    return FeatureVector({key: _exact_expected(measure, n, key) for key in features})
+
+
+def _exact_expected(measure: GeneratingMeasure, n: int, key: str) -> float:
+    """One expectation: placement count times the pattern probability."""
+    kind, order = parse_feature(key)
+    if kind == "star":
+        if not 1 <= order <= n - 1:
+            raise DomainError(f"star order {order} infeasible on {n} nodes")
+        prob = exact_subgraph_probability(
+            measure, _star_pattern(order), num_nodes=order + 1)
+        return n * math.comb(n - 1, order) * prob
+    if kind == "edges":  # an edge is a 2-clique
+        order = 2
+    if not 2 <= order <= n:
+        raise DomainError(f"clique order {order} infeasible on {n} nodes")
+    prob = exact_subgraph_probability(measure, _clique_pattern(order), num_nodes=order)
+    return math.comb(n, order) * prob
 
 
 def exact_degree_counts(measure: GeneratingMeasure, n: int) -> list[Fraction]:
@@ -156,6 +155,37 @@ def exact_degree_counts(measure: GeneratingMeasure, n: int) -> list[Fraction]:
             acc -= math.comb(i, d) * counts[i]
         counts[d] = acc
     return counts
+
+
+def brute_force_counts(
+    graph: Graph, features: Sequence[str] = DEFAULT_FEATURES
+) -> FeatureVector:
+    """Count features by raw subset enumeration (independent reference).
+
+    Deliberately shares nothing with the fast counters: stars check every
+    (center, leaf-set) pair, cliques check all pairwise adjacencies in every
+    t-subset.  Limited to tiny graphs.
+    """
+    n = graph.n
+    if n > BRUTE_FORCE_NODE_LIMIT:
+        raise GraphTooLargeError(
+            f"brute-force counting is capped at {BRUTE_FORCE_NODE_LIMIT} nodes, got {n}")
+    adj = [[False] * n for _ in range(n)]
+    for u, v in graph.edge_array().tolist():
+        adj[u][v] = adj[v][u] = True
+
+    def count(key: str) -> int:
+        kind, order = parse_feature(key)
+        if kind == "star":
+            return sum(all(adj[center][leaf] for leaf in leaves)
+                       for center in range(n)
+                       for leaves in itertools.combinations(
+                           [v for v in range(n) if v != center], order))
+        size = 2 if kind == "edges" else order  # an edge is a 2-clique
+        return sum(all(adj[a][b] for a, b in itertools.combinations(group, 2))
+                   for group in itertools.combinations(range(n), size))
+
+    return FeatureVector({key: count(key) for key in features})
 
 
 @dataclass(frozen=True)

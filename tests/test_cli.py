@@ -290,6 +290,42 @@ def test_compare_command(capsys, tmp_path, block_file, graph_file):
     assert out_csv.splitlines()[0].startswith("feature,")
 
 
+# Rows for --features C3,edges,S2,C2,C2: canonical order, the repeat collapsed.
+CANONICAL_ROWS = {
+    "features": (
+        "feature  count\n"
+        "nodes    120\n"
+        "edges    1086\n"
+        "S2       21413\n"
+        "C2       1086\n"
+        "C3       1402\n"),
+    "moments": (
+        "feature   expected\n"
+        "edges     1174.6676732684227\n"
+        "S2        24964.406594697852\n"
+        "C2        1174.6676732684227\n"
+        "C3        1716.2403971988485\n"
+        "edge_std  72.814363904124974\n"),
+    "compare": (
+        "feature  actual  expected            ratio\n"
+        "edges    1086    1174.6676732684227  1.081646107981973\n"
+        "S2       21413   24964.406594697852  1.165852827473864\n"
+        "C2       1086    1174.6676732684227  1.081646107981973\n"
+        "C3       1402    1716.2403971988485  1.2241372305269962\n"),
+}
+
+
+@pytest.mark.parametrize("command", CANONICAL_ROWS)
+def test_feature_rows_come_in_canonical_order(capsys, block_file, graph_file, command):
+    inputs = {"features": ["--graph", graph_file],
+              "moments": ["--measure", block_file, "--nodes", "120"],
+              "compare": ["--graph", graph_file, "--measure", block_file]}
+    code, out, err = run(capsys, command, *inputs[command],
+                         "--features", "C3,edges,S2,C2,C2")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == CANONICAL_ROWS[command]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 import mfng
 from mfng import DomainError, GraphTooLargeError, ZeroWedgesError
 import mfng.features
-from mfng.features import Graph, brute_force_counts
+from mfng.features import Graph
+from mfng.oracle import brute_force_counts
 
 
 def complete_graph(n):
@@ -167,6 +168,15 @@ def test_counts_match_dense_reference_across_wedge_chunks(monkeypatch, chunk):
         assert mfng.count_triangles(g) == want["C3"]
         assert mfng.count_4cliques(g) == want["C4"]
         assert mfng.feature_vector(g).as_dict() == want
+
+
+def test_unsupported_clique_order_is_rejected_before_counting(monkeypatch):
+    def fail(graph):
+        raise AssertionError("counted before the feature list was checked")
+
+    monkeypatch.setattr(mfng.features, "count_triangles", fail)
+    with pytest.raises(DomainError):
+        mfng.feature_vector(complete_graph(5), ["C3", "C5"])
 
 
 def test_brute_force_node_cap():

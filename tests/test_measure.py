@@ -454,6 +454,15 @@ def test_expected_feature_vector_matches_individual_formulas(block_measure):
 
 
 def test_feature_vector_round_trip(block_measure):
-    vec = mfng.expected_feature_vector(block_measure, 50, features=("edges", "S2", "C3"))
-    back = type(vec).from_dict(vec.as_dict())
-    assert back.as_dict() == vec.as_dict()
+    requests = {("edges", "S2", "C3"): ["edges", "S2", "C3"],
+                ("C3", "edges", "S2", "C2"): ["edges", "S2", "C2", "C3"]}
+    for features, canonical in requests.items():
+        vec = mfng.expected_feature_vector(block_measure, 50, features=features)
+        assert list(vec.keys()) == canonical
+        back = type(vec).from_dict(vec.as_dict())
+        assert back.as_dict() == vec.as_dict()
+        assert list(back.keys()) == canonical
+    with pytest.raises(DomainError):
+        mfng.FeatureVector.from_dict({"edges": 1.0, "X3": 2.0})
+    with pytest.raises(DomainError):
+        mfng.expected_feature_vector(block_measure, 50, features=("edges", "X3"))
