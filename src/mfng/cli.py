@@ -276,16 +276,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.noise != 0.0 and args.method != "noisy":
+        raise _UsageError(f"--noise applies only to --method noisy, not {args.method}")
+    if args.accuracy != 1.0 and args.method == "naive":
+        raise _UsageError("--accuracy applies only to --method fast and noisy")
     measure = read_measure(args.measure)
     rng = np.random.default_rng(args.seed)
     if args.method == "naive":
         graph = naive_sample(args.nodes, measure, rng)
     elif args.method == "fast":
         graph = fast_sample(args.nodes, measure, rng, accuracy=args.accuracy)
-    elif args.method == "noisy":
+    else:  # argparse restricts the choices to these three
         graph = noisy_sample(args.nodes, measure, args.noise, rng, accuracy=args.accuracy)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SchemaError(f"unknown method {args.method!r}")
     header = [
         "mfng sample",
         f"measure: {args.measure}",
@@ -412,11 +414,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+        return args.func(args)
+    except _UsageError as exc:  # argparse's, or a combination of flags a command rejects
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except OSError as exc:  # a missing input, or an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

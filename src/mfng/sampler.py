@@ -1,23 +1,26 @@
 """Graph samplers for generating measures.
 
-Three ways to draw a graph:
+One exact sampler and one approximate one:
 
-* ``naive_sample`` — assign every node its k-tuple of categories, then flip
-  one coin per node pair with the product of per-level link probabilities.
-  Exact, O(n^2).
-* ``sample_by_intersection`` — draw one depth-1 graph per level (fresh
-  categories each level) and keep the edges present in all of them.  Exact,
-  distributed like the naive sampler, and it accepts a different matrix per
-  level, which is what the noisy variant needs.
+* ``sample_by_intersection`` — every node draws one category per level,
+  then node pairs u < v are scanned a block of rows at a time, each level
+  flipping one coin per surviving pair with that level's link probability.
+  The levels are independent, so this is exact; it takes one matrix per
+  level.  ``naive_sample`` is its case of k copies of a measure's matrix.
+  O(n^2).
 * ``fast_sample`` — the approximate box-dropping generator: draw a target
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
   target is placed.  Expected O(|E| log |V|) work.
 
-All samplers are deterministic given (inputs, seed).  ``noisy_sample`` with
-noise amplitude 0 consumes no randomness while building its schedule, so it
-reproduces the corresponding plain sampler bit for bit at a fixed seed.
+``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
+independently perturbed level matrices; the exact noisy draw is
+``sample_by_intersection`` over the same schedule.
+
+All samplers are deterministic given (inputs, seed).  A noise schedule of
+amplitude 0 consumes no randomness, so ``noisy_sample`` at b = 0 reproduces
+``fast_sample`` bit for bit at a fixed seed.
 """
 
 from __future__ import annotations
@@ -109,62 +112,33 @@ class CategoryIndex:
 # exact samplers
 # ---------------------------------------------------------------------------
 
-_PAIR_BLOCK = 512
-
-
-def _scan_pairs(n: int, pair_prob, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One Bernoulli draw per node pair u < v, a block of rows at a time.
-
-    ``pair_prob(u0, u1)`` returns the link probabilities of rows u0..u1-1
-    against all n columns; the hits come back as endpoint arrays in row-major
-    order.
-    """
-    us, vs = [], []
-    cols = np.arange(n, dtype=np.int64)
-    for u0 in range(0, n, _PAIR_BLOCK):
-        u1 = min(u0 + _PAIR_BLOCK, n)
-        rows = np.arange(u0, u1, dtype=np.int64)[:, None]
-        mask = cols[None, :] > rows
-        p = pair_prob(u0, u1)[mask]
-        hit = rng.random(p.size) < p
-        us.append(np.broadcast_to(rows, mask.shape)[mask][hit])
-        vs.append(np.broadcast_to(cols[None, :], mask.shape)[mask][hit])
-    return np.concatenate(us), np.concatenate(vs)
+# Rows of node pairs drawn per block; bounds the exact sampler's memory.
+_PAIR_BLOCK = 256
 
 
 def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
-    """Exact sampler: one Bernoulli draw per node pair.
+    """Exact sampler: ``sample_by_intersection`` over k copies of the matrix.
 
-    The success probability of pair (u, v) is the product over levels of the
-    link probability of their categories at that level.  Quadratic in n; use
-    the fast sampler beyond a few thousand nodes.
+    Pair (u, v) is an edge with the product over levels of the link
+    probability of their categories at that level.  Quadratic in n; use the
+    fast sampler beyond a few thousand nodes.
     """
     if n < 1:
         raise DomainError(f"naive_sample needs n >= 1, got {n}")
-    rng = _as_generator(rng)
-    levels = _draw_levels(n, measure.k, measure.lengths, rng)
-    probs = measure.probs
-
-    def pair_prob(u0: int, u1: int) -> np.ndarray:
-        prob = np.ones((u1 - u0, n))
-        for r in range(measure.k):
-            prob *= probs[levels[u0:u1, r][:, None], levels[:, r][None, :]]
-        return prob
-
-    iu, iv = _scan_pairs(n, pair_prob, rng)
-    return Graph.from_pairs(n, np.column_stack([iu, iv]))
+    return sample_by_intersection(n, [measure.probs] * measure.k, measure.lengths, rng)
 
 
 def sample_by_intersection(
     n: int, level_matrices: Sequence[np.ndarray], lengths, rng=None
 ) -> Graph:
-    """Exact sampler built level by level.
+    """Exact sampler with one probability matrix per level.
 
-    Draws one depth-1 graph per level matrix (fresh category assignment and
-    fresh coin flips each level) and intersects the edge sets.  With all
-    level matrices equal to a measure's matrix this has exactly the naive
-    sampler's distribution; with per-level matrices it realizes the noisy
-    variant.
+    Every node draws one category per level up front.  Node pairs u < v are
+    then scanned a block of rows at a time: each level flips one coin per
+    pair still standing, with that level's link probability, and a pair
+    that passes every level is an edge.  The levels are independent, so
+    this is one coin with the product probability; per-level matrices give
+    the exact noisy variant.
     """
     if n < 1:
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
@@ -174,19 +148,20 @@ def sample_by_intersection(
     if not matrices:
         raise DomainError("need at least one level matrix")
     rng = _as_generator(rng)
+    levels = _draw_levels(n, len(matrices), lengths, rng)
 
-    # Level 1 scans all pairs blockwise; the survivors shrink fast.
-    cats = _draw_levels(n, 1, lengths, rng)[:, 0]
-    first = matrices[0]
-    iu, iv = _scan_pairs(
-        n, lambda u0, u1: first[cats[u0:u1][:, None], cats[None, :]], rng)
-
-    for probs in matrices[1:]:
-        cats = _draw_levels(n, 1, lengths, rng)[:, 0]
-        p = probs[cats[iu], cats[iv]]
-        keep = rng.random(p.size) < p
-        iu, iv = iu[keep], iv[keep]
-    return Graph.from_pairs(n, np.column_stack([iu, iv]))
+    blocks = []
+    for u0 in range(0, n, _PAIR_BLOCK):
+        # A block of rows from u0 against columns u0+1..n-1; triu keeps v > u.
+        row_cats, col_cats = levels[u0:u0 + _PAIR_BLOCK, 0], levels[u0 + 1:, 0]
+        p = np.triu(matrices[0][row_cats[:, None], col_cats[None, :]])
+        iu, iv = np.nonzero(rng.random(p.shape) < p)
+        iu, iv = iu + u0, iv + u0 + 1
+        for r, probs in enumerate(matrices[1:], start=1):
+            keep = rng.random(iu.size) < probs[levels[iu, r], levels[iv, r]]
+            iu, iv = iu[keep], iv[keep]
+        blocks.append(np.column_stack([iu, iv]))
+    return Graph.from_pairs(n, np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +412,14 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
 
 
 def noisy_sample(
-    n: int,
-    measure: GeneratingMeasure,
-    b: float,
-    rng=None,
-    method: str = "fast",
-    *,
-    accuracy: float = 1.0,
+    n: int, measure: GeneratingMeasure, b: float, rng=None, *, accuracy: float = 1.0
 ) -> Graph:
-    """Sample with independently perturbed per-level matrices.
+    """The fast sampler over independently perturbed per-level matrices.
 
-    ``method="fast"`` runs the box-dropping sampler over the schedule, with
-    ``accuracy`` as in :func:`fast_sample`;
-    ``method="exact"`` intersects per-level graphs.  Either way, b == 0
-    reproduces the corresponding plain sampler bit for bit at a fixed seed.
+    ``accuracy`` is as in :func:`fast_sample`, and b == 0 reproduces
+    :func:`fast_sample` bit for bit at a fixed seed.  The exact noisy draw
+    is ``sample_by_intersection`` over the schedule's ``level_matrices``.
     """
     rng = _as_generator(rng)
     schedule = make_noise_schedule(measure, b, rng)
-    if method == "fast":
-        return _fast_sample_levels(
-            n, schedule.level_matrices, measure.lengths, accuracy, rng)
-    if method == "exact":
-        return sample_by_intersection(n, schedule.level_matrices, measure.lengths, rng)
-    raise DomainError(f"unknown sampling method: {method!r}")
+    return _fast_sample_levels(n, schedule.level_matrices, measure.lengths, accuracy, rng)

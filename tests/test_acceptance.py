@@ -22,6 +22,7 @@ from mfng.oracle import (
     exact_expected_features,
     exact_subgraph_probability,
 )
+from mfng.sampler import make_noise_schedule
 
 BLOCK = dict(lengths=(0.25, 0.75), probs=((0.59, 0.43), (0.43, 0.78)))
 
@@ -399,10 +400,10 @@ def test_criterion_10_noise_smooths_degree_oscillations():
         1500, meas, 0.0, rng=np.random.default_rng(7)) == mfng.fast_sample(
         1500, meas, rng=np.random.default_rng(7))
     small = mfng.make_measure(BLOCK["lengths"], BLOCK["probs"], k=4)
-    same_exact = mfng.noisy_sample(
-        100, small, 0.0, rng=np.random.default_rng(7), method="exact",
-    ) == mfng.sample_by_intersection(
-        100, [small.probs] * 4, small.lengths, np.random.default_rng(7))
+    schedule = make_noise_schedule(small, 0.0, np.random.default_rng(7))
+    same_exact = mfng.sample_by_intersection(
+        100, schedule.level_matrices, small.lengths, np.random.default_rng(7),
+    ) == mfng.naive_sample(100, small, np.random.default_rng(7))
 
     # a strongly two-block measure whose degree CCDF shows a clear staircase
     wavy = mfng.make_measure([0.2, 0.8], [[1.0, 0.55], [0.55, 0.15]], k=8)

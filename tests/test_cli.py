@@ -183,8 +183,8 @@ def test_written_edges_are_sorted_and_canonical(tmp_path):
 
 def test_edge_list_write_matches_per_line_format_across_slices(tmp_path, monkeypatch):
     monkeypatch.setattr(mfng.cli, "_WRITE_SLICE", 3)
-    g = mfng.naive_sample(60, mfng.make_measure([0.5, 0.5], [[0.6, 0.3], [0.3, 0.5]], k=2),
-                          np.random.default_rng(3))
+    g = mfng.Graph.from_pairs(12, [(0, 11), (3, 1), (2, 9), (5, 4), (7, 10),
+                                   (9, 1), (4, 0), (10, 2), (6, 8), (11, 3)])
     assert g.edge_count > 3 and g.edge_count % 3 != 0
     path = tmp_path / "out.tsv"
     write_edge_list(g, str(path), ["a", "b"])
@@ -254,6 +254,21 @@ def test_sample_naive_method(tmp_path, capsys, block_file):
     assert g.edge_count > 0
 
 
+@pytest.mark.parametrize("method, flag, value", [
+    ("fast", "--noise", "0.5"),
+    ("naive", "--noise", "0.5"),
+    ("naive", "--accuracy", "4"),
+])
+def test_sample_rejects_a_flag_its_method_ignores(tmp_path, capsys, block_file,
+                                                  method, flag, value):
+    out = tmp_path / "g.tsv"
+    code, stdout, err = run(capsys, "sample", "--measure", block_file, "--nodes", "50",
+                            "--method", method, flag, value, "--out", str(out))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith("usage error:") and flag in err
+    assert not out.exists()
+
+
 def test_noisy_with_zero_amplitude_matches_fast_edges(tmp_path, capsys, block_file):
     fast_out, noisy_out = tmp_path / "f.tsv", tmp_path / "n.tsv"
     run(capsys, "sample", "--measure", block_file, "--nodes", "300",
@@ -295,10 +310,10 @@ CANONICAL_ROWS = {
     "features": (
         "feature  count\n"
         "nodes    120\n"
-        "edges    1086\n"
-        "S2       21413\n"
-        "C2       1086\n"
-        "C3       1402\n"),
+        "edges    1081\n"
+        "S2       21243\n"
+        "C2       1081\n"
+        "C3       1419\n"),
     "moments": (
         "feature   expected\n"
         "edges     1174.6676732684227\n"
@@ -308,10 +323,10 @@ CANONICAL_ROWS = {
         "edge_std  72.814363904124974\n"),
     "compare": (
         "feature  actual  expected            ratio\n"
-        "edges    1086    1174.6676732684227  1.081646107981973\n"
-        "S2       21413   24964.406594697852  1.165852827473864\n"
-        "C2       1086    1174.6676732684227  1.081646107981973\n"
-        "C3       1402    1716.2403971988485  1.2241372305269962\n"),
+        "edges    1081    1174.6676732684227  1.0866490964555251\n"
+        "S2       21243   24964.406594697852  1.17518272347116\n"
+        "C2       1081    1174.6676732684227  1.0866490964555251\n"
+        "C3       1419    1716.2403971988485  1.2094717386884064\n"),
 }
 
 
@@ -324,6 +339,17 @@ def test_feature_rows_come_in_canonical_order(capsys, block_file, graph_file, co
                          "--features", "C3,edges,S2,C2,C2")
     assert (code, err) == (EXIT_OK, "")
     assert out == CANONICAL_ROWS[command]
+    if command != "moments":
+        # The count column against a dense recount of the graph_file sample.
+        edges = read_edge_list(graph_file)
+        a = np.zeros((120, 120), dtype=np.int64)
+        a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1
+        deg = a.sum(axis=1)
+        m = int(a.sum()) // 2
+        dense = {"edges": m, "S2": int((deg * (deg - 1) // 2).sum()), "C2": m,
+                 "C3": int(np.trace(a @ a @ a)) // 6}
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert {row[0]: int(row[1]) for row in rows if row[0] != "nodes"} == dense
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from mfng import (
 )
 from mfng.sampler import (
     _MAX_CONSECUTIVE_REJECTS,
+    _PAIR_BLOCK,
     CategoryIndex,
     _draw_levels,
     _target_edge_moments,
@@ -97,13 +98,28 @@ def test_naive_deterministic(block_measure_k4):
     assert g1 == g2
 
 
+# Spans three row blocks, the last one partial.
+N_BLOCKS = 2 * _PAIR_BLOCK + 37
+
+
 def test_naive_complete_and_empty_extremes():
     full = mfng.make_measure([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]], k=3)
-    g = mfng.naive_sample(12, full, np.random.default_rng(0))
-    assert g.edge_count == math.comb(12, 2)
     empty = mfng.make_measure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]], k=3)
-    g = mfng.naive_sample(12, empty, np.random.default_rng(0))
-    assert g.edge_count == 0
+    for n in (12, N_BLOCKS):
+        g = mfng.naive_sample(n, full, np.random.default_rng(0))
+        assert g.edge_count == math.comb(n, 2)
+        g = mfng.naive_sample(n, empty, np.random.default_rng(0))
+        assert g.edge_count == 0
+
+
+def test_naive_is_intersection_over_k_copies(block_measure_k4):
+    meas = block_measure_k4
+    assert N_BLOCKS % _PAIR_BLOCK and N_BLOCKS > 2 * _PAIR_BLOCK
+    for seed in (0, 1, 2):
+        a = mfng.naive_sample(N_BLOCKS, meas, np.random.default_rng(seed))
+        b = mfng.sample_by_intersection(
+            N_BLOCKS, [meas.probs] * meas.k, meas.lengths, np.random.default_rng(seed))
+        assert a == b
 
 
 def test_naive_single_node():
@@ -349,11 +365,10 @@ def test_noisy_zero_amplitude_reproduces_fast(block_measure):
 
 def test_noisy_zero_amplitude_reproduces_intersection(block_measure_k4):
     n = 100
-    a = mfng.noisy_sample(
-        n, block_measure_k4, 0.0, rng=np.random.default_rng(19), method="exact")
-    b = mfng.sample_by_intersection(
-        n, [block_measure_k4.probs] * 4, block_measure_k4.lengths,
-        np.random.default_rng(19))
+    schedule = make_noise_schedule(block_measure_k4, 0.0, np.random.default_rng(19))
+    a = mfng.sample_by_intersection(
+        n, schedule.level_matrices, block_measure_k4.lengths, np.random.default_rng(19))
+    b = mfng.naive_sample(n, block_measure_k4, np.random.default_rng(19))
     assert a == b
 
 
@@ -367,12 +382,8 @@ def test_noisy_deterministic_and_noise_dependent(block_measure):
 
 
 def test_noisy_exact_method_runs(block_measure_k4):
-    g = mfng.noisy_sample(
-        80, block_measure_k4, 0.1, rng=np.random.default_rng(4), method="exact")
+    rng = np.random.default_rng(4)
+    schedule = make_noise_schedule(block_measure_k4, 0.1, rng)
+    g = mfng.sample_by_intersection(
+        80, schedule.level_matrices, block_measure_k4.lengths, rng)
     assert g.n == 80
-
-
-def test_noisy_rejects_unknown_method(block_measure_k4):
-    with pytest.raises(DomainError):
-        mfng.noisy_sample(50, block_measure_k4, 0.1,
-                          rng=np.random.default_rng(0), method="banana")
