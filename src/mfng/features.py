@@ -3,15 +3,17 @@
 Counts are exact Python integers throughout: star counts on heavy-tailed
 graphs overflow 64-bit arithmetic long before the graphs get interesting.
 
-Triangles and 4-cliques use the array form of the forward algorithm (Latapy
-2008).  Every edge is oriented from the endpoint of lower (degree, id) rank
-to the higher one, so each node keeps at most O(sqrt(E)) forward neighbors
-and each triangle u < v < w (in rank) arises from exactly one wedge:
-forward edge (u, v) followed by w in F(v), kept when (u, w) is an edge.
-Wedges are expanded and tested as whole arrays, a bounded number at a time,
-with edge membership answered by binary search over the sorted forward-edge
-keys ``u * n + w``.  A 4-clique u < v < w < x extends its triangle
-(u, v, w) by x in F(w) with both (u, x) and (v, x) present.
+Triangles and 4-cliques come from one pass of the array form of the
+forward algorithm (Latapy 2008; Chiba & Nishizeki 1985).  Every edge is
+oriented from the endpoint of lower (degree, id) rank to the higher one, so
+each node keeps at most O(sqrt(E)) forward neighbors.  The forward edges are
+the 2-cliques, and each clique c1 < ... < ct (in rank) is extended from its
+last node's forward list: by every x in F(ct) adjacent to all of
+c1 .. c(t-1).  So each triangle u < v < w arises once, from forward edge
+(u, v) and w in F(v), and each 4-clique once, from its triangle (u, v, w)
+and x in F(w).  Candidates are expanded and tested as whole arrays, a
+bounded number at a time, with edge membership answered by binary search
+over the sorted forward-edge keys ``u * n + w``.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (a read-only view)."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
@@ -122,6 +121,18 @@ def _csr_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, rows
 
 
+def _search_sorted(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Look each query up in the sorted array ``keys``.
+
+    Returns ``(pos, hit)``: ``hit`` says whether the query is a key, and
+    where it is, ``keys[pos]`` is that key.  Empty keys give no hits.
+    """
+    if keys.size == 0:
+        return np.zeros(np.shape(query), dtype=np.int64), np.zeros(np.shape(query), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return pos, keys[pos] == query
+
+
 def from_edge_list(pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from raw id pairs as they come out of an edge-list file.
 
@@ -148,7 +159,7 @@ def count_stars(graph: Graph, d: int) -> int:
     """Number of d-stars: sum over nodes of C(degree, d), exactly."""
     if d < 1:
         raise DomainError(f"star order d must be >= 1, got {d}")
-    hist = np.bincount(graph.degrees(), minlength=1) if graph.n else np.zeros(1, int)
+    hist = np.bincount(graph.degrees(), minlength=1)
     return sum(int(cnt) * math.comb(deg, d)
                for deg, cnt in enumerate(hist.tolist()) if cnt and deg >= d)
 
@@ -187,18 +198,12 @@ class _Forward:
         return cls(graph.n, indptr, rows, keys - rows * n, keys)
 
     def has_edge(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Elementwise: is (u, v), with u below v in rank, a forward edge?
-
-        Every u must rank below some source of a forward edge, as the first
-        two nodes of a wedge do, so that the smallest query does not exceed
-        the last key.
-        """
+        """Elementwise: is (u, v), with u below v in rank, a forward edge?"""
         query = u * np.int64(self.n) + v
         # Search only the keys between the smallest and the largest query:
         # a chunk of wedges spans few rows, and that slice stays in cache.
         lo, hi = np.searchsorted(self.keys, [query.min(), query.max()])
-        keys = self.keys[lo:hi + 1]
-        return keys.take(np.searchsorted(keys, query), mode="clip") == query
+        return _search_sorted(self.keys[lo:hi + 1], query)[1]
 
     def expand(self, heads: np.ndarray):
         """Yield (i, x) array pairs covering every x in F(heads[i]).
@@ -224,46 +229,43 @@ class _Forward:
             start = stop
 
 
-def _triangles(fwd: _Forward):
-    """Yield every triangle u < v < w (in rank) once, as chunks of arrays."""
-    for i, w in fwd.expand(fwd.targets):
-        u = fwd.sources[i]
-        hit = fwd.has_edge(u, w)
-        yield u[hit], fwd.targets[i[hit]], w[hit]
+def _clique_counts(graph: Graph, top: int) -> list[int]:
+    """Exact t-clique counts, indexed by t, for t = 2..top, from one pass.
+
+    The forward edges are the 2-cliques.  Each t-clique c1 < ... < ct (in
+    rank) is extended by every x in F(ct) adjacent to all of c1 .. c(t-1),
+    which finds every (t+1)-clique once, from its first t nodes.  No
+    forward lists are built when top is 2.
+    """
+    if top > 4:
+        raise DomainError(f"clique counting supports C2..C4, got C{top}")
+    counts = [0, 0, graph.edge_count] + [0] * (top - 2)
+    if top == 2:
+        return counts
+    fwd = _Forward.of(graph)
+
+    def extend(clique):
+        # A chunk of t-cliques as t columns of ranks, c1 first.
+        t = len(clique)
+        for i, x in fwd.expand(clique[-1]):
+            hit = np.logical_and.reduce([fwd.has_edge(c[i], x) for c in clique[:-1]])
+            counts[t + 1] += int(np.count_nonzero(hit))
+            if t + 1 < top:
+                extend(tuple(c[i[hit]] for c in clique) + (x[hit],))
+
+    extend((fwd.sources, fwd.targets))
+    return counts
 
 
 def count_triangles(graph: Graph) -> int:
     """Exact triangle count via the forward wedge enumeration."""
-    return sum(int(w.size) for _, _, w in _triangles(_Forward.of(graph)))
+    return _clique_counts(graph, 3)[3]
 
 
 def count_4cliques(graph: Graph) -> int:
-    """Exact 4-clique count: extend each triangle (u, v, w) by every x in
-    F(w) adjacent to both u and v."""
-    fwd = _Forward.of(graph)
-    total = 0
-    for u, v, w in _triangles(fwd):
-        for i, x in fwd.expand(w):
-            total += int(np.count_nonzero(fwd.has_edge(u[i], x) & fwd.has_edge(v[i], x)))
-    return total
-
-
-def _counter(key: str):
-    """The exact counter of one feature key, as a function of the graph.
-
-    The counters are looked up by their module names when a lambda runs, so
-    a counter rebound on this module (by a tracer or a test) is the one used.
-    """
-    kind, order = parse_feature(key)
-    if kind == "edges" or (kind == "clique" and order == 2):
-        return lambda graph: graph.edge_count
-    if kind == "star":
-        return lambda graph: count_stars(graph, order)
-    if order == 3:
-        return lambda graph: count_triangles(graph)
-    if order == 4:
-        return lambda graph: count_4cliques(graph)
-    raise DomainError(f"clique counting supports C2..C4, got C{order}")
+    """Exact 4-clique count: each triangle (u, v, w) extended by every x
+    in F(w) adjacent to both u and v."""
+    return _clique_counts(graph, 4)[4]
 
 
 def feature_vector(
@@ -271,10 +273,16 @@ def feature_vector(
 ) -> FeatureVector:
     """Count the requested features; all values are exact integers.
 
-    Every key is checked before anything is counted.
+    Every key is checked before anything is counted, and the cliques of
+    every requested order come from one pass.
     """
-    counters = {key: _counter(key) for key in features}
-    return FeatureVector({key: count(graph) for key, count in counters.items()})
+    parsed = {key: parse_feature(key) for key in features}
+    cliques = _clique_counts(
+        graph, max([order for kind, order in parsed.values() if kind == "clique"], default=2))
+    return FeatureVector({
+        key: cliques[order] if kind == "clique"
+        else count_stars(graph, order) if kind == "star" else graph.edge_count
+        for key, (kind, order) in parsed.items()})
 
 
 @dataclass(frozen=True)
@@ -297,8 +305,6 @@ class DegreeDistribution:
 
 
 def degree_distribution(graph: Graph) -> DegreeDistribution:
-    if graph.n == 0:
-        return DegreeDistribution(0, np.zeros(1, dtype=np.int64))
     counts = np.bincount(graph.degrees(), minlength=1)
     return DegreeDistribution(graph.n, counts.astype(np.int64))
 

@@ -164,6 +164,22 @@ def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
     )
 
 
+def _check_lengths(lengths, m: int) -> np.ndarray:
+    """Interval lengths as floats, checked to be a flat vector of m finite,
+    strictly positive entries summing to 1 within ``LENGTH_SUM_TOLERANCE``."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape != (m,):
+        raise LengthVectorError(
+            f"lengths must be a flat vector of {m} entries, got shape {lengths.shape}")
+    if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
+        raise LengthVectorError("interval lengths must be finite and strictly positive")
+    total = float(lengths.sum())
+    if abs(total - 1.0) > LENGTH_SUM_TOLERANCE:
+        raise LengthVectorError(
+            f"interval lengths must sum to 1 (got {total!r})")
+    return lengths
+
+
 def _check_probs(probs, m: int) -> np.ndarray:
     """A link-probability matrix as floats, checked to be m x m, finite,
     within [0, 1] and exactly symmetric."""
@@ -193,25 +209,15 @@ def validate_measure(measure: GeneratingMeasure) -> GeneratingMeasure:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
 
-    lengths = measure.lengths
-    if lengths.ndim != 1 or lengths.shape[0] != m:
-        raise LengthVectorError(
-            f"lengths must be a flat vector of {m} entries, got shape {lengths.shape}")
-    if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
-        raise LengthVectorError("interval lengths must be finite and strictly positive")
-    total = float(lengths.sum())
-    if abs(total - 1.0) > LENGTH_SUM_TOLERANCE:
-        raise LengthVectorError(
-            f"interval lengths must sum to 1 (got {total!r})")
-
+    lengths = _check_lengths(measure.lengths, m)
     probs = _check_probs(measure.probs, m)
 
     if m ** k > 2 ** ENCODING_BITS:
         raise DepthOverflowError(
             f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
 
-    if total != 1.0:
-        lengths = lengths / total
+    if lengths.sum() != 1.0:
+        lengths = lengths / lengths.sum()
     return GeneratingMeasure(m=int(m), k=int(k), lengths=lengths, probs=probs)
 
 

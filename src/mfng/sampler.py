@@ -38,8 +38,9 @@ from .errors import (
     StalledError,
     UnsupportedMError,
 )
-from .features import Graph
-from .measure import EdgeMoments, GeneratingMeasure, _check_probs, _edge_moments_from_logs
+from .features import Graph, _search_sorted
+from .measure import (EdgeMoments, GeneratingMeasure, _check_lengths, _check_probs,
+                      _edge_moments_from_logs)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -101,10 +102,7 @@ class CategoryIndex:
 
     def lookup(self, query: np.ndarray) -> np.ndarray:
         """Group positions for encoded codes; -1 where the box is empty."""
-        if self.codes.size == 0:
-            return np.full(np.shape(query), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.codes, query), self.codes.size - 1)
-        hit = self.codes[pos] == query
+        pos, hit = _search_sorted(self.codes, query)
         return np.where(hit, pos, -1)
 
 
@@ -142,9 +140,8 @@ def sample_by_intersection(
     """
     if n < 1:
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
-    lengths = np.asarray(lengths, dtype=float)
-    m = lengths.shape[0]
-    matrices = [_check_probs(p, m) for p in level_matrices]
+    lengths = _check_lengths(lengths, np.size(lengths))
+    matrices = [_check_probs(p, lengths.size) for p in level_matrices]
     if not matrices:
         raise DomainError("need at least one level matrix")
     rng = _as_generator(rng)
@@ -232,14 +229,6 @@ def fast_sample(
         n, [measure.probs] * measure.k, measure.lengths, accuracy, rng)
 
 
-def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership of keys in a sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
-
-
 def _fast_sample_levels(
     n: int,
     matrices: Sequence[np.ndarray],
@@ -322,7 +311,8 @@ def _fast_sample_levels(
             u = index.nodes[index.starts[pos_u[owner]] + rng.integers(0, cnt_u[owner])]
             v = index.nodes[index.starts[pos_v[owner]] + rng.integers(0, cnt_v[owner])]
             key = np.minimum(u, v) * n + np.maximum(u, v)
-            fresh = np.flatnonzero((u != v) & ~_contains(placed, key) & ~_contains(taken, key))
+            fresh = np.flatnonzero((u != v) & ~_search_sorted(placed, key)[1]
+                                 & ~_search_sorted(taken, key)[1])
             fresh_keys, first = np.unique(key[fresh], return_index=True)
             taken = np.insert(taken, np.searchsorted(taken, fresh_keys), fresh_keys)
             fresh = fresh[np.sort(first)]
@@ -374,7 +364,6 @@ class NoiseSchedule:
     """
 
     level_matrices: tuple[np.ndarray, ...]
-    noise: float
     offsets: np.ndarray
 
 
@@ -397,8 +386,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
             "noise rebalancing divides by p11 + p22, which is zero")
     k = measure.k
     if b == 0.0:
-        return NoiseSchedule(
-            level_matrices=tuple([p] * k), noise=0.0, offsets=np.zeros(k))
+        return NoiseSchedule(level_matrices=tuple([p] * k), offsets=np.zeros(k))
     rng = _as_generator(rng)
     offsets = rng.uniform(-b, b, size=k)
     mats = []
@@ -408,7 +396,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
             [p[1, 0] + mu, p[1, 1] - 2.0 * mu * p[1, 1] / diag_sum],
         ])
         mats.append(np.clip(shifted, 0.0, 1.0))
-    return NoiseSchedule(level_matrices=tuple(mats), noise=float(b), offsets=offsets)
+    return NoiseSchedule(level_matrices=tuple(mats), offsets=offsets)
 
 
 def noisy_sample(

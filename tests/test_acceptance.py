@@ -120,8 +120,6 @@ def test_criterion_03_exact_sampler_calibration():
     n, runs = 100, 500
     samplers = {
         "naive": lambda meas, rng: mfng.naive_sample(n, meas, rng),
-        "intersection": lambda meas, rng: mfng.sample_by_intersection(
-            n, [meas.probs] * meas.k, meas.lengths, rng),
     }
     worst_z, worst_var = 0.0, 0.0
     t0 = time.perf_counter()

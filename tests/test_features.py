@@ -174,9 +174,25 @@ def test_unsupported_clique_order_is_rejected_before_counting(monkeypatch):
     def fail(graph):
         raise AssertionError("counted before the feature list was checked")
 
-    monkeypatch.setattr(mfng.features, "count_triangles", fail)
+    monkeypatch.setattr(mfng.features._Forward, "of", classmethod(fail))
     with pytest.raises(DomainError):
         mfng.feature_vector(complete_graph(5), ["C3", "C5"])
+
+
+@pytest.mark.parametrize("features, builds", [
+    (mfng.DEFAULT_FEATURES, 1), (("edges", "S2", "C2"), 0)])
+def test_feature_vector_builds_forward_lists_at_most_once(monkeypatch, features, builds):
+    calls = []
+    build = mfng.features._Forward.of.__func__
+
+    def counted(cls, graph):
+        calls.append(graph)
+        return build(cls, graph)
+
+    monkeypatch.setattr(mfng.features._Forward, "of", classmethod(counted))
+    g = complete_graph(6)
+    assert mfng.feature_vector(g, features) == brute_force_counts(g, features)
+    assert len(calls) == builds
 
 
 def test_brute_force_node_cap():

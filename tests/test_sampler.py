@@ -166,6 +166,14 @@ def test_intersection_rejects_mismatched_matrices(block_measure_k4):
             10, [np.array([[0.5]])], block_measure_k4.lengths, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("lengths", [
+    [0.5, 0.2], [2.0, -1.0], [float("nan"), 1.0], [[0.5], [0.5]]])
+def test_intersection_rejects_invalid_lengths(lengths):
+    with pytest.raises(mfng.LengthVectorError):
+        mfng.sample_by_intersection(
+            10, [np.full((2, 2), 0.5)], lengths, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # edge-mass table
 # ---------------------------------------------------------------------------
