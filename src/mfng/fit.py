@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,24 +31,117 @@ from .measure import (
 )
 
 _LOGIT_CLIP = 1e-12
+_TINY = np.finfo(float).tiny
 
 # Nelder-Mead stopping tolerances and the iteration cap of one local search.
 _FATOL = 1e-10
 _XATOL = 1e-6
 _MAX_ITERATIONS = 2000
 
+# Nelder-Mead's initial simplex steps (relative, and absolute for a zero
+# coordinate) and its reflection, expansion, contraction and shrink factors.
+_NONZDELT = 0.05
+_ZDELT = 0.00025
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call.
 
-    Deferring the import keeps scipy out of every process that does not fit.
+@dataclass(frozen=True)
+class SimplexResult:
+    """Outcome of one :func:`minimize` run."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out in the middle of a simplex step."""
+
+
+def minimize(fun, x0) -> SimplexResult:
+    """Nelder-Mead simplex search (Nelder & Mead, Comput. J. 1965) from x0.
+
+    This is scipy's ``minimize(method="Nelder-Mead")`` at the fit's options
+    (``fatol=_FATOL``, ``xatol=_XATOL``, ``maxiter=_MAX_ITERATIONS``,
+    ``maxfev=2 * _MAX_ITERATIONS``), written out step for step: the same
+    initial simplex, step arithmetic, sorts, convergence test and budget
+    handling, so every iterate, ``nfev`` and ``success`` equal scipy's, and
+    no scipy module is loaded.  ``success`` is false when either budget ran
+    out.  ``fun`` is called with rows of the simplex and must not modify
+    its argument.
+
     ``local_optimize`` calls this module attribute by name, so tests and
-    tracers can rebind ``mfng.fit.minimize``; that seam is why this wrapper
-    exists instead of a local import inside ``local_optimize``.
+    tracers can rebind ``mfng.fit.minimize``.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    maxiter, maxfev = _MAX_ITERATIONS, 2 * _MAX_ITERATIONS
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    for j in range(N):
+        sim[j + 1, j] = (1 + _NONZDELT) * x0[j] if x0[j] != 0 else _ZDELT
+    fsim = np.full((N + 1,), np.inf)
+    nfev = 0
 
-    return scipy_minimize(fun, x0, **kwargs)
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    try:
+        for j in range(N + 1):
+            fsim[j] = evaluate(sim[j])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy sorts twice here; ties may reorder
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
+                    and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = evaluate(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # contract inside
+                    xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxcc = evaluate(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+
+    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
+                         success=nfev < maxfev and iterations < maxiter)
 
 
 def max_depth(m: int) -> int:
@@ -106,43 +199,44 @@ class FitResult:
     restarts: int
 
 
-def _expected_feature(measure: GeneratingMeasure, n: int, key: str) -> float:
-    # measure.expected_feature_vector's dispatch, through this module's names
-    # of the closed forms so that a tracer can time the fit's calls to them.
-    kind, order = parse_feature(key)
-    if kind == "edges":
-        return expected_edges(measure, n)
-    if kind == "star":
-        return expected_d_stars(measure, n, order)
-    return expected_t_cliques(measure, n, order)
+def _terms(target: FeatureVector, n: int) -> list[tuple[str, Callable, tuple, float]]:
+    """The objective's terms, one per target feature: its key, its closed
+    form, the arguments that follow the measure, and the observed count,
+    checked to be positive.
 
-
-def _target_items(target: FeatureVector) -> list[tuple[str, float]]:
-    """(key, observed) pairs for every feature of the target, each checked
-    to be positive."""
-    items = target.items()
-    for key, observed in items:
+    Each key is parsed once here, not once per evaluation.  The closed forms
+    are this module's names for them, looked up when the terms are built, so
+    that a tracer can time the fit's calls to them.
+    """
+    terms = []
+    for key, observed in target.items():
         if not observed > 0.0:
             raise ZeroTargetFeatureError(
                 f"target feature {key} is {observed}; fitted features must be positive")
-    if not items:
+        kind, order = parse_feature(key)
+        if kind == "edges":
+            closed_form, args = expected_edges, (n,)
+        elif kind == "star":
+            closed_form, args = expected_d_stars, (n, order)
+        else:
+            closed_form, args = expected_t_cliques, (n, order)
+        terms.append((key, closed_form, args, float(observed)))
+    if not terms:
         raise DomainError("no target features to fit")
-    return [(key, float(observed)) for key, observed in items]
+    return terms
 
 
 def objective(measure: GeneratingMeasure, n: int, target: FeatureVector) -> float:
     """Relative moment mismatch summed over the target's keys; +inf if an
     expectation blows up."""
-    return _loss(measure, n, _target_items(target))
+    return _loss(measure, _terms(target, n))
 
 
-def _loss(
-    measure: GeneratingMeasure, n: int, items: Sequence[tuple[str, float]]
-) -> float:
-    """The objective over pre-validated (key, observed) pairs."""
+def _loss(measure: GeneratingMeasure, terms: Sequence[tuple]) -> float:
+    """The objective over the terms built by :func:`_terms`."""
     total = 0.0
-    for key, observed in items:
-        expected = _expected_feature(measure, n, key)
+    for _, closed_form, args, observed in terms:
+        expected = closed_form(measure, *args)
         if not math.isfinite(expected):
             return math.inf
         total += abs(observed - expected) / observed
@@ -150,25 +244,24 @@ def _loss(
 
 
 @functools.lru_cache(maxsize=None)
-def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle indices of an m x m matrix, built once per m.
+def _symmetric_slots(m: int) -> np.ndarray:
+    """For each cell of an m x m matrix, the index of its upper-triangle
+    entry in ``np.triu_indices(m)`` order, built once per m.
 
-    The objective decodes a parameter vector on every evaluation; the
-    arrays are read-only because every caller shares them.
+    ``values[_symmetric_slots(m)]`` is the symmetric matrix with those
+    upper-triangle values.  The array is read-only because every caller
+    shares it.
     """
     iu = np.triu_indices(m)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
+    slots = np.empty((m, m), dtype=np.intp)
+    slots[iu] = slots.T[iu] = np.arange(iu[0].size)
+    slots.setflags(write=False)
+    return slots
 
 
 def random_init(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A random starting point: uniform probabilities, flat-Dirichlet lengths."""
-    tri = rng.random(m * (m + 1) // 2)
-    probs = np.zeros((m, m))
-    iu = _triu(m)
-    probs[iu] = tri
-    probs.T[iu] = tri
+    probs = rng.random(m * (m + 1) // 2)[_symmetric_slots(m)]
     raw = rng.standard_exponential(m)
     lengths = raw / raw.sum()
     return probs, lengths
@@ -182,8 +275,7 @@ def _encode_params(probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     coordinate), so every search iterate decodes to a feasible measure.
     """
     m = lengths.shape[0]
-    iu = _triu(m)
-    p = np.clip(probs[iu], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
+    p = np.clip(probs[np.triu_indices(m)], _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
     x_p = np.log(p / (1.0 - p))
     x_l = np.log(lengths[1:] / lengths[0]) if m > 1 else np.zeros(0)
     return np.concatenate([x_p, x_l])
@@ -191,20 +283,19 @@ def _encode_params(probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _decode_params(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     n_tri = m * (m + 1) // 2
-    probs = np.zeros((m, m))
-    iu = _triu(m)
     # exp overflows to inf for very negative coordinates; 1 / (1 + inf) = 0
     # is the intended limit, so the warning is noise.
     with np.errstate(over="ignore"):
         vals = 1.0 / (1.0 + np.exp(-x[:n_tri]))
-    probs[iu] = vals
-    probs.T[iu] = vals
+    probs = vals[_symmetric_slots(m)]
     if m > 1:
-        raw = np.concatenate([[0.0], x[n_tri:]])
+        raw = np.empty(m)
+        raw[0] = 0.0
+        raw[1:] = x[n_tri:]
         raw = np.exp(raw - raw.max())
         # A length that underflows to zero would fail validation and abort
         # the whole fit; the floor changes no value that did not underflow.
-        lengths = np.maximum(raw / raw.sum(), np.finfo(float).tiny)
+        lengths = np.maximum(raw / raw.sum(), _TINY)
     else:
         lengths = np.ones(1)
     return probs, lengths
@@ -223,24 +314,19 @@ def local_optimize(
     than the starting point's objective.
     """
     m = int(lengths.shape[0])
-    items = _target_items(target)
+    terms = _terms(target, n)
 
     def loss(x: np.ndarray) -> float:
         p, l = _decode_params(x, m)
-        return _loss(GeneratingMeasure(m=m, k=k, lengths=l, probs=p), n, items)
+        return _loss(GeneratingMeasure(m=m, k=k, lengths=l, probs=p), terms)
 
     x0 = _encode_params(np.asarray(probs, dtype=float), np.asarray(lengths, dtype=float))
-    result = minimize(
-        loss, x0, method="Nelder-Mead",
-        options={"fatol": _FATOL, "xatol": _XATOL,
-                 "maxiter": _MAX_ITERATIONS, "maxfev": _MAX_ITERATIONS * 2},
-    )
-    candidates = [x0, result.x]
+    result = minimize(loss, x0)
     best_measure, best_obj = None, math.inf
-    for x in candidates:
+    for x in (x0, result.x):
         p, l = _decode_params(x, m)
         meas = validate_measure(GeneratingMeasure(m=m, k=k, lengths=l, probs=p))
-        obj = _loss(meas, n, items)
+        obj = _loss(meas, terms)
         if obj < best_obj:
             best_measure, best_obj = meas, obj
     return best_measure, best_obj
@@ -256,7 +342,7 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
         raise DomainError(f"restarts must be at least 1, got {config.restarts}")
     if config.seed < 0:
         raise DomainError(f"seed must be nonnegative, got {config.seed}")
-    items = _target_items(target)  # validates up front
+    terms = _terms(target, n)  # validates up front
     depths = config.depth_candidates(n)
     best = None  # (objective, k, restart, measure)
     best_by_depth: dict[int, float] = {}
@@ -272,8 +358,8 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
                 best = (obj, k, r, measure)
         best_by_depth[k] = depth_best
     obj, k, r, measure = best
-    ratios = {key: _expected_feature(measure, n, key) / observed
-              for key, observed in items}
+    ratios = {key: closed_form(measure, *args) / observed
+              for key, closed_form, args, observed in terms}
     return FitResult(
         measure=measure, objective=obj, ratios=ratios, k=k, restart=r,
         best_by_depth=best_by_depth, restarts=config.restarts,

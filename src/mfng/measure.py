@@ -17,6 +17,7 @@ nodes never overflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -31,6 +32,7 @@ from .errors import (
     DepthOverflowError,
     DomainError,
     LengthVectorError,
+    MeasureValidationError,
     NonSymmetricError,
     ProbabilityRangeError,
 )
@@ -153,24 +155,34 @@ def parse_feature(key: str) -> tuple[str, int]:
 
 
 def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
-    """Build and validate a measure from raw arrays."""
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim != 1:
-        raise LengthVectorError(
-            f"lengths must be a flat vector, got shape {lengths.shape}")
-    return validate_measure(
-        GeneratingMeasure(m=int(lengths.shape[0]), k=int(k),
-                          lengths=lengths, probs=probs)
-    )
+    """Build and validate a measure from raw arrays.
+
+    The arrays are checked before the measure is built, so ragged or
+    non-numeric input raises ``LengthVectorError``/``ProbabilityRangeError``.
+    """
+    lengths = _check_lengths(lengths)
+    m = int(lengths.shape[0])
+    probs = _check_probs(probs, m)
+    return validate_measure(GeneratingMeasure(m=m, k=int(k), lengths=lengths, probs=probs))
 
 
-def _check_lengths(lengths, m: int) -> np.ndarray:
-    """Interval lengths as floats, checked to be a flat vector of m finite,
-    strictly positive entries summing to 1 within ``LENGTH_SUM_TOLERANCE``."""
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.shape != (m,):
+def _as_floats(values, error: type[MeasureValidationError], what: str) -> np.ndarray:
+    """values as a float array; ragged or non-numeric input raises error."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
+
+
+def _check_lengths(lengths, m: int | None = None) -> np.ndarray:
+    """Interval lengths as floats, checked to be a flat vector of m (by
+    default, any number of) finite, strictly positive entries summing to 1
+    within ``LENGTH_SUM_TOLERANCE``."""
+    lengths = _as_floats(lengths, LengthVectorError, "lengths")
+    if lengths.ndim != 1 or (m is not None and lengths.shape != (m,)):
+        entries = "entries" if m is None else f"{m} entries"
         raise LengthVectorError(
-            f"lengths must be a flat vector of {m} entries, got shape {lengths.shape}")
+            f"lengths must be a flat vector of {entries}, got shape {lengths.shape}")
     if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
         raise LengthVectorError("interval lengths must be finite and strictly positive")
     total = float(lengths.sum())
@@ -183,7 +195,7 @@ def _check_lengths(lengths, m: int) -> np.ndarray:
 def _check_probs(probs, m: int) -> np.ndarray:
     """A link-probability matrix as floats, checked to be m x m, finite,
     within [0, 1] and exactly symmetric."""
-    probs = np.asarray(probs, dtype=float)
+    probs = _as_floats(probs, ProbabilityRangeError, "probs")
     if probs.shape != (m, m):
         raise ProbabilityRangeError(
             f"probs must be a {m}x{m} matrix, got shape {probs.shape}")
@@ -251,10 +263,16 @@ def _clique_survival(probs: np.ndarray, lengths: np.ndarray, t: int) -> float:
     """
     if t == 2:  # edge_survival_factor's arithmetic, so C2 equals the edge count
         return float(lengths @ probs @ lengths)
+    return float(np.einsum(_clique_spec(t), *[lengths] * t, *[probs] * math.comb(t, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _clique_spec(t: int) -> str:
+    """The einsum spec of :func:`_clique_survival`: one index per node, then
+    one operand per node pair, e.g. "a,b,c,ab,ac,bc->" for t = 3."""
     nodes = string.ascii_lowercase[:t]
     pairs = [a + b for a, b in itertools.combinations(nodes, 2)]
-    spec = ",".join([*nodes, *pairs]) + "->"
-    return float(np.einsum(spec, *[lengths] * t, *[probs] * len(pairs)))
+    return ",".join([*nodes, *pairs]) + "->"
 
 
 def _log_comb(n: int, r: int) -> float:

@@ -140,7 +140,7 @@ def sample_by_intersection(
     """
     if n < 1:
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
-    lengths = _check_lengths(lengths, np.size(lengths))
+    lengths = _check_lengths(lengths)
     matrices = [_check_probs(p, lengths.size) for p in level_matrices]
     if not matrices:
         raise DomainError("need at least one level matrix")

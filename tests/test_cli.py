@@ -513,7 +513,7 @@ def cli_statement(*argv):
     return f"assert mfng.cli.main({list(argv)!r}) == 0"
 
 
-def test_commands_other_than_fit_start_without_scipy(tmp_path, block_file, graph_file):
+def test_cli_commands_start_without_scipy(tmp_path, block_file, graph_file):
     loaded = scipy_loaded_after(
         "import mfng, mfng.cli",
         cli_statement("sample", "--measure", block_file, "--nodes", "60",
@@ -523,19 +523,17 @@ def test_commands_other_than_fit_start_without_scipy(tmp_path, block_file, graph
                       "--out", str(tmp_path / "d.csv")),
         cli_statement("compare", "--graph", graph_file, "--measure", block_file),
         cli_statement("moments", "--measure", block_file, "--nodes", "100"),
+        cli_statement("fit", "--graph", graph_file, "--m", "2", "--k", "4",
+                      "--restarts", "1", "--out", str(tmp_path / "f.json")),
     )
-    assert loaded == [[]] * 6
+    assert loaded == [[]] * 7
 
 
-def test_fit_and_expected_degree_counts_load_scipy(tmp_path, graph_file, block_file):
+def test_only_expected_degree_counts_loads_scipy(tmp_path, graph_file, block_file):
     loaded = scipy_loaded_after(
         "import mfng, mfng.cli",
         cli_statement("fit", "--graph", graph_file, "--m", "2", "--k", "4",
                       "--restarts", "1", "--out", str(tmp_path / "f.json")),
-    )
-    assert loaded[0] == [] and "scipy.optimize" in loaded[1]
-    loaded = scipy_loaded_after(
-        "import mfng, mfng.cli",
         f"mfng.expected_degree_counts(mfng.cli.read_measure({block_file!r}), 50)",
     )
-    assert loaded[0] == [] and "scipy.special" in loaded[1]
+    assert loaded[0] == loaded[1] == [] and "scipy.special" in loaded[2]

@@ -116,16 +116,49 @@ def test_decode_params_logistic_limit_is_silent():
     assert probs[0, 0] == 0.0
 
 
-def test_minimize_wrapper_matches_scipy():
-    from scipy.optimize import minimize as scipy_minimize, rosen
+def scipy_search(fun, x0):
+    """scipy's Nelder-Mead at the fit's options, as a stand-in for minimize."""
+    from scipy.optimize import minimize as scipy_minimize
 
-    x0 = np.array([-1.2, 1.0, 0.8])
-    ours = fit_module.minimize(rosen, x0, method="Nelder-Mead")
-    theirs = scipy_minimize(rosen, x0, method="Nelder-Mead")
+    return scipy_minimize(fun, x0, method="Nelder-Mead", options={
+        "fatol": fit_module._FATOL, "xatol": fit_module._XATOL,
+        "maxiter": fit_module._MAX_ITERATIONS, "maxfev": 2 * fit_module._MAX_ITERATIONS})
+
+
+# The zero coordinate takes the absolute initial step.  The caps end the
+# search early: cap 1 runs out of evaluations inside the initial simplex,
+# cap 3 in the middle of a step of the 4-d start, and cap 10 runs out of
+# iterations.
+@pytest.mark.parametrize("x0", [[-1.2, 1.0, 0.8], [0.0, 0.5, -0.3, 1.1],
+                                [1.3, 0.7, 0.8, 1.9, 1.2]],
+                         ids=["3d", "zero_coordinate", "5d"])
+@pytest.mark.parametrize("max_iterations", [None, 1, 3, 10],
+                         ids=["full_budget", "cap1", "cap3", "cap10"])
+def test_minimize_matches_scipy_at_the_fit_options(monkeypatch, x0, max_iterations):
+    from scipy.optimize import rosen
+
+    if max_iterations is not None:
+        monkeypatch.setattr(fit_module, "_MAX_ITERATIONS", max_iterations)
+    ours = fit_module.minimize(rosen, np.array(x0))
+    theirs = scipy_search(rosen, np.array(x0))
     assert np.array_equal(ours.x, theirs.x)
     assert ours.fun == theirs.fun
     assert ours.nfev == theirs.nfev
     assert ours.success == theirs.success
+    assert ours.success == (max_iterations is None)
+
+
+def test_local_optimize_matches_a_scipy_search(monkeypatch, block_measure_k4):
+    n = 400
+    target = exact_target(block_measure_k4, n)
+    starts = [random_init(2, np.random.default_rng(seed)) for seed in range(4)]
+    ours = [local_optimize(probs, lengths, 4, n, target) for probs, lengths in starts]
+    monkeypatch.setattr(fit_module, "minimize", scipy_search)
+    theirs = [local_optimize(probs, lengths, 4, n, target) for probs, lengths in starts]
+    for (meas, obj), (scipy_meas, scipy_obj) in zip(ours, theirs):
+        assert np.array_equal(meas.probs, scipy_meas.probs)
+        assert np.array_equal(meas.lengths, scipy_meas.lengths)
+        assert obj == scipy_obj
 
 
 def test_local_optimize_survives_an_underflowed_length(monkeypatch, block_measure_k4):

@@ -46,6 +46,18 @@ def test_lengths_must_be_flat_vector():
         mfng.make_measure([[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], k=2)
 
 
+@pytest.mark.parametrize("lengths", [[[0.5], [0.5, 0.2]], ["a", "b"]])
+def test_ragged_or_non_numeric_lengths_are_typed_errors(lengths):
+    with pytest.raises(LengthVectorError):
+        mfng.make_measure(lengths, [[0.5, 0.5], [0.5, 0.5]], k=2)
+
+
+@pytest.mark.parametrize("probs", [[[0.5, 0.5], [0.5]], [[0.5, "x"], [0.5, 0.5]]])
+def test_ragged_or_non_numeric_probs_are_typed_errors(probs):
+    with pytest.raises(ProbabilityRangeError):
+        mfng.make_measure([0.5, 0.5], probs, k=2)
+
+
 def test_probs_must_be_exactly_symmetric():
     with pytest.raises(NonSymmetricError):
         mfng.make_measure([0.5, 0.5], [[0.5, 0.5 + 1e-12], [0.5, 0.5]], k=2)

@@ -167,11 +167,17 @@ def test_intersection_rejects_mismatched_matrices(block_measure_k4):
 
 
 @pytest.mark.parametrize("lengths", [
-    [0.5, 0.2], [2.0, -1.0], [float("nan"), 1.0], [[0.5], [0.5]]])
+    [0.5, 0.2], [2.0, -1.0], [float("nan"), 1.0], [[0.5], [0.5]], [[0.5], [0.5, 0.2]]])
 def test_intersection_rejects_invalid_lengths(lengths):
     with pytest.raises(mfng.LengthVectorError):
         mfng.sample_by_intersection(
             10, [np.full((2, 2), 0.5)], lengths, np.random.default_rng(0))
+
+
+def test_intersection_rejects_a_ragged_matrix():
+    with pytest.raises(mfng.ProbabilityRangeError):
+        mfng.sample_by_intersection(
+            10, [[[0.5, 0.5], [0.5]]], [0.5, 0.5], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
