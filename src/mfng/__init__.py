@@ -53,7 +53,6 @@ from .measure import (
     expected_t_cliques,
     make_measure,
     parse_feature,
-    validate_measure,
 )
 from .sampler import (
     fast_sample,

@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import DomainError, ZeroTargetFeatureError
 from .measure import (
-    ENCODING_BITS,
     FeatureVector,
     GeneratingMeasure,
     expected_d_stars,
     expected_edges,
     expected_t_cliques,
+    make_measure,
+    max_depth,
     parse_feature,
-    validate_measure,
 )
 
 _LOGIT_CLIP = 1e-12
@@ -142,20 +142,6 @@ def minimize(fun, x0) -> SimplexResult:
 
     return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
                          success=nfev < maxfev and iterations < maxiter)
-
-
-def max_depth(m: int) -> int:
-    """Largest depth whose category tuples fit the 62-bit encoding."""
-    if m < 1:
-        raise DomainError(f"category count must be positive, got {m}")
-    if m == 1:
-        return ENCODING_BITS
-    k = int(ENCODING_BITS / math.log2(m))
-    while m ** (k + 1) <= 2 ** ENCODING_BITS:
-        k += 1
-    while m ** k > 2 ** ENCODING_BITS:
-        k -= 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -325,7 +311,7 @@ def local_optimize(
     best_measure, best_obj = None, math.inf
     for x in (x0, result.x):
         p, l = _decode_params(x, m)
-        meas = validate_measure(GeneratingMeasure(m=m, k=k, lengths=l, probs=p))
+        meas = make_measure(l, p, k)
         obj = _loss(meas, terms)
         if obj < best_obj:
             best_measure, best_obj = meas, obj

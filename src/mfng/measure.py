@@ -59,9 +59,10 @@ _KINDS = ("edges", "star", "clique")
 class GeneratingMeasure:
     """Parameters of the recursive link model.
 
-    Construction does not validate; call :func:`validate_measure` (or build
-    through :func:`make_measure`) before handing a measure to anything that
-    states "valid measure" as a precondition.
+    Construction only takes read-only float copies of the arrays: ragged or
+    non-numeric input raises ``LengthVectorError``/``ProbabilityRangeError``,
+    and nothing else is checked.  Build through :func:`make_measure` to hand
+    a measure to anything that states "valid measure" as a precondition.
     """
 
     m: int
@@ -70,8 +71,8 @@ class GeneratingMeasure:
     probs: np.ndarray
 
     def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=float)
-        probs = np.array(self.probs, dtype=float)
+        lengths = _as_floats(self.lengths, LengthVectorError, "lengths")
+        probs = _as_floats(self.probs, ProbabilityRangeError, "probs")
         lengths.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
@@ -155,34 +156,56 @@ def parse_feature(key: str) -> tuple[str, int]:
 
 
 def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
-    """Build and validate a measure from raw arrays.
+    """Build a valid measure from raw arrays.
 
-    The arrays are checked before the measure is built, so ragged or
-    non-numeric input raises ``LengthVectorError``/``ProbabilityRangeError``.
+    The lengths, the matrix, the depth and the depth cap of
+    :func:`max_depth` are each checked once, before the measure is built,
+    so every bad input raises a typed ``MeasureValidationError``.  Lengths
+    whose sum is within ``LENGTH_SUM_TOLERANCE`` of one are renormalised
+    once (divided by their sum); the matrix must be exactly symmetric.
     """
     lengths = _check_lengths(lengths)
     m = int(lengths.shape[0])
     probs = _check_probs(probs, m)
-    return validate_measure(GeneratingMeasure(m=m, k=int(k), lengths=lengths, probs=probs))
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
+    if k > max_depth(m):
+        raise DepthOverflowError(
+            f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
+    if lengths.sum() != 1.0:
+        lengths = lengths / lengths.sum()
+    return GeneratingMeasure(m=m, k=int(k), lengths=lengths, probs=probs)
+
+
+def max_depth(m: int) -> int:
+    """Largest depth whose category tuples fit the 62-bit encoding."""
+    if m < 1:
+        raise DomainError(f"category count must be positive, got {m}")
+    if m == 1:
+        return ENCODING_BITS
+    k = int(ENCODING_BITS / math.log2(m))
+    while m ** (k + 1) <= 2 ** ENCODING_BITS:
+        k += 1
+    while m ** k > 2 ** ENCODING_BITS:
+        k -= 1
+    return k
 
 
 def _as_floats(values, error: type[MeasureValidationError], what: str) -> np.ndarray:
-    """values as a float array; ragged or non-numeric input raises error."""
+    """values as a new float array; ragged or non-numeric input raises error."""
     try:
-        return np.asarray(values, dtype=float)
+        return np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
 
 
-def _check_lengths(lengths, m: int | None = None) -> np.ndarray:
-    """Interval lengths as floats, checked to be a flat vector of m (by
-    default, any number of) finite, strictly positive entries summing to 1
-    within ``LENGTH_SUM_TOLERANCE``."""
+def _check_lengths(lengths) -> np.ndarray:
+    """Interval lengths as floats, checked to be a flat vector of finite,
+    strictly positive entries summing to 1 within ``LENGTH_SUM_TOLERANCE``."""
     lengths = _as_floats(lengths, LengthVectorError, "lengths")
-    if lengths.ndim != 1 or (m is not None and lengths.shape != (m,)):
-        entries = "entries" if m is None else f"{m} entries"
+    if lengths.ndim != 1:
         raise LengthVectorError(
-            f"lengths must be a flat vector of {entries}, got shape {lengths.shape}")
+            f"lengths must be a flat vector, got shape {lengths.shape}")
     if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
         raise LengthVectorError("interval lengths must be finite and strictly positive")
     total = float(lengths.sum())
@@ -208,39 +231,18 @@ def _check_probs(probs, m: int) -> np.ndarray:
     return probs
 
 
-def validate_measure(measure: GeneratingMeasure) -> GeneratingMeasure:
-    """Check every structural invariant; return a validated measure.
-
-    Interval lengths whose sum is within ``LENGTH_SUM_TOLERANCE`` of one are
-    renormalized exactly once (division by their sum); a worse mismatch is
-    rejected.  The probability matrix must be exactly symmetric.
-    """
-    m, k = measure.m, measure.k
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise DomainError(f"category count m must be a positive integer, got {m!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
-
-    lengths = _check_lengths(measure.lengths, m)
-    probs = _check_probs(measure.probs, m)
-
-    if m ** k > 2 ** ENCODING_BITS:
-        raise DepthOverflowError(
-            f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
-
-    if lengths.sum() != 1.0:
-        lengths = lengths / lengths.sum()
-    return GeneratingMeasure(m=int(m), k=int(k), lengths=lengths, probs=probs)
-
-
 # ---------------------------------------------------------------------------
 # per-level survival factors
 # ---------------------------------------------------------------------------
 
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
     """Per-level probability that one node pair survives: sum p_ij l_i l_j."""
-    lengths = measure.lengths
-    return float(lengths @ measure.probs @ lengths)
+    return _pair_survival(measure.probs, measure.lengths)
+
+
+def _pair_survival(probs: np.ndarray, lengths: np.ndarray) -> float:
+    """Per-level survival of one node pair (a 2-clique): l.P.l."""
+    return float(lengths @ probs @ lengths)
 
 
 def _star_survival(probs: np.ndarray, lengths: np.ndarray, d: int) -> float:
@@ -261,8 +263,8 @@ def _clique_survival(probs: np.ndarray, lengths: np.ndarray, t: int) -> float:
     One einsum over t length vectors and C(t, 2) copies of the matrix; no
     m**t grid is ever materialized.
     """
-    if t == 2:  # edge_survival_factor's arithmetic, so C2 equals the edge count
-        return float(lengths @ probs @ lengths)
+    if t == 2:  # the edge arithmetic, so C2 equals the edge count
+        return _pair_survival(probs, lengths)
     return float(np.einsum(_clique_spec(t), *[lengths] * t, *[probs] * math.comb(t, 2)))
 
 
@@ -320,10 +322,15 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
             f"clique order {t} exceeds the enumeration cap of {MAX_CLIQUE_ORDER}")
     if not 2 <= t <= n:
         raise DomainError(f"clique order t must satisfy 2 <= t <= n, got t={t}, n={n}")
+    return math.exp(_log_expected_cliques(measure, n, t))
+
+
+def _log_expected_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
+    """log of the expected t-clique count; -inf when no t-clique survives."""
     base = _clique_survival(measure.probs, measure.lengths, t)
     if base <= 0.0:
-        return 0.0
-    return math.exp(_log_comb(n, t) + measure.k * math.log(base))
+        return -math.inf
+    return _log_comb(n, t) + measure.k * math.log(base)
 
 
 def _edge_moments_from_logs(n: int, log_s: float, log_wedge: float) -> EdgeMoments:
@@ -372,24 +379,38 @@ def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
     category compositions c, each weighted by its multinomial probability
     k! / prod c_i! * prod l_i ** c_i.  Every term is nonnegative and is
     evaluated in log space, so the counts are accurate for any n.
+
+    log C(n-1, d) is a running sum of log(n-1-j) - log(j+1) up to the middle
+    degree, mirrored above it, so both ends are exactly zero; a zero count
+    times log q, or times log(1 - q), is taken as zero, so q = 0 and q = 1
+    give exact point masses.
     """
     if n < 1:
         raise DomainError(f"expected_degree_counts needs n >= 1, got {n}")
-    # Imported here so that importing mfng (and every CLI command) needs no scipy.
-    from scipy.special import gammaln, xlog1py, xlogy
-
     m, k = measure.m, measure.k
     comps = np.array([np.bincount(combo, minlength=m)
                       for combo in itertools.combinations_with_replacement(range(m), k)])
-    log_weights = (gammaln(k + 1) - gammaln(comps + 1).sum(axis=1)
-                   + xlogy(comps, measure.lengths).sum(axis=1))
+    log_factorials = np.array([math.lgamma(c + 1) for c in range(k + 1)])
+    log_weights = (log_factorials[k] - log_factorials[comps].sum(axis=1)
+                   + comps @ np.log(measure.lengths))
     link = np.prod((measure.probs @ measure.lengths) ** comps, axis=1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf is meant
+        log_q, log_not_q = np.log(link), np.log1p(-link)
+    j = np.arange(1, (n + 1) // 2)
+    low = np.concatenate([[0.0], np.cumsum(np.log(n - j) - np.log(j))])
+    log_binom = np.concatenate([low, low[:n - low.size][::-1]])
     d = np.arange(n)
-    log_placements = math.log(n) + gammaln(n) - gammaln(d + 1) - gammaln(n - d)
-    counts = np.zeros(n)
-    for log_w, q in zip(log_weights, link):
-        counts += np.exp(log_placements + log_w + xlogy(d, q) + xlog1py(n - 1 - d, -q))
-    return counts
+    rest = n - 1 - d
+    total = np.zeros(n)
+    for log_w, lq, lnq in zip(log_weights, log_q, log_not_q):
+        total += np.exp(log_binom + log_w + _times_log(d, lq) + _times_log(rest, lnq))
+    return n * total
+
+
+def _times_log(counts: np.ndarray, log_value: float) -> np.ndarray:
+    """counts * log_value with every zero count giving exactly zero, so a
+    log of zero (-inf) never meets a zero count."""
+    return np.multiply(counts, log_value, out=np.zeros(counts.shape), where=counts > 0)
 
 
 def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEstimate:
@@ -404,14 +425,9 @@ def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEs
     cap = min(n, MAX_CLIQUE_ORDER)
     t_star = 1
     for t in range(2, cap + 1):
-        base = _clique_survival(measure.probs, measure.lengths, t)
-        if base <= 0.0:
+        if _log_expected_cliques(measure, n, t) < 0.0:
             break
-        log_expected = _log_comb(n, t) + measure.k * math.log(base)
-        if log_expected >= 0.0:
-            t_star = t
-        else:
-            break
+        t_star = t
     capped = t_star == cap and cap < n
     return CliqueNumberEstimate(t_star=t_star, capped=capped)
 

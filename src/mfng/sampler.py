@@ -40,7 +40,7 @@ from .errors import (
 )
 from .features import Graph, _search_sorted
 from .measure import (EdgeMoments, GeneratingMeasure, _check_lengths, _check_probs,
-                      _edge_moments_from_logs)
+                      _edge_moments_from_logs, _pair_survival, _star_survival)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -60,12 +60,6 @@ _MAX_CONSECUTIVE_REJECTS = 10_000
 # larger than the need thins out dense blocks.
 _MIN_ROUND_BOXES = 256
 _MAX_ROUND_BOXES = 1 << 16
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,7 @@ def sample_by_intersection(
     matrices = [_check_probs(p, lengths.size) for p in level_matrices]
     if not matrices:
         raise DomainError("need at least one level matrix")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     levels = _draw_levels(n, len(matrices), lengths, rng)
 
     blocks = []
@@ -206,12 +200,11 @@ def _target_edge_moments(
     log_s = 0.0
     log_wedge = 0.0
     for probs in matrices:
-        s_i = float(lengths @ probs @ lengths)
+        s_i = _pair_survival(probs, lengths)
         if s_i <= 0.0:
             raise AllZeroMeasureError("a level has zero edge mass; nothing to sample")
         log_s += math.log(s_i)
-        row = probs @ lengths
-        w_i = float(np.dot(lengths, row ** 2))
+        w_i = _star_survival(probs, lengths, 2)
         log_wedge += math.log(w_i) if w_i > 0.0 else -math.inf
     return _edge_moments_from_logs(n, log_s, log_wedge)
 
@@ -252,7 +245,7 @@ def _fast_sample_levels(
         raise DomainError(f"fast sampling needs n >= 2, got {n}")
     if not (accuracy > 0.0 and math.isfinite(accuracy)):
         raise DomainError(f"accuracy must be positive and finite, got {accuracy!r}")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     lengths = np.asarray(lengths, dtype=float)
     m = lengths.shape[0]
     k = len(matrices)
@@ -387,7 +380,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     k = measure.k
     if b == 0.0:
         return NoiseSchedule(level_matrices=tuple([p] * k), offsets=np.zeros(k))
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     offsets = rng.uniform(-b, b, size=k)
     mats = []
     for mu in offsets:
@@ -408,6 +401,6 @@ def noisy_sample(
     :func:`fast_sample` bit for bit at a fixed seed.  The exact noisy draw
     is ``sample_by_intersection`` over the schedule's ``level_matrices``.
     """
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     schedule = make_noise_schedule(measure, b, rng)
     return _fast_sample_levels(n, schedule.level_matrices, measure.lengths, accuracy, rng)

@@ -1,5 +1,6 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -483,7 +484,7 @@ def test_runtime_error_stalled_sampler(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded only by what needs it
+# numpy-only runtime: nothing in the package loads scipy
 # ---------------------------------------------------------------------------
 
 # Executes each statement of the JSON list in sys.argv[1] in one namespace
@@ -529,11 +530,22 @@ def test_cli_commands_start_without_scipy(tmp_path, block_file, graph_file):
     assert loaded == [[]] * 7
 
 
-def test_only_expected_degree_counts_loads_scipy(tmp_path, graph_file, block_file):
+def test_expected_degree_counts_loads_no_scipy(block_file):
     loaded = scipy_loaded_after(
         "import mfng, mfng.cli",
-        cli_statement("fit", "--graph", graph_file, "--m", "2", "--k", "4",
-                      "--restarts", "1", "--out", str(tmp_path / "f.json")),
         f"mfng.expected_degree_counts(mfng.cli.read_measure({block_file!r}), 50)",
     )
-    assert loaded[0] == loaded[1] == [] and "scipy.special" in loaded[2]
+    assert loaded == [[], []]
+
+
+def test_no_module_imports_scipy():
+    package = Path(mfng.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").split(".")[0]] if node.level == 0 else []
+            else:
+                continue
+            assert "scipy" not in roots, f"{path.name}:{node.lineno} imports scipy"

@@ -15,10 +15,10 @@ from mfng.fit import (
     _decode_params,
     _encode_params,
     local_optimize,
-    max_depth,
     objective,
     random_init,
 )
+from mfng.measure import max_depth
 
 # mfng.fit the attribute is the fit function; the module is needed here
 fit_module = importlib.import_module("mfng.fit")

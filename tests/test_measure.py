@@ -17,6 +17,7 @@ from mfng import (
     NonSymmetricError,
     ProbabilityRangeError,
 )
+from mfng.measure import max_depth
 from mfng.oracle import exact_degree_counts
 
 
@@ -81,11 +82,36 @@ def test_depth_must_fit_encoding():
         mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=63)
     meas = mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=62)
     assert meas.k == 62
+    # one cap for every m: the fit's depth window uses the same max_depth
+    with pytest.raises(DepthOverflowError):
+        mfng.make_measure([1.0], [[0.5]], k=max_depth(1) + 1)
 
 
 def test_depth_must_be_positive():
     with pytest.raises(DomainError):
         mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=0)
+
+
+@pytest.mark.parametrize("k", [2.7, "x", None])
+def test_depth_must_be_an_integer(k):
+    with pytest.raises(DomainError):
+        mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=k)
+
+
+@pytest.mark.parametrize("lengths, probs, error", [
+    ([[0.5], [0.5, 0.2]], [[0.5, 0.5], [0.5, 0.5]], LengthVectorError),
+    ([0.5, 0.5], [[0.5, 0.5], [0.5]], ProbabilityRangeError),
+])
+def test_direct_construction_types_ragged_arrays(lengths, probs, error):
+    with pytest.raises(error):
+        mfng.GeneratingMeasure(m=2, k=2, lengths=lengths, probs=probs)
+
+
+def test_direct_construction_leaves_the_callers_arrays_writable():
+    lengths, probs = np.array([0.5, 0.5]), np.full((2, 2), 0.5)
+    meas = mfng.GeneratingMeasure(m=2, k=2, lengths=lengths, probs=probs)
+    lengths[0], probs[0, 0] = 0.4, 0.9
+    assert meas.lengths[0] == 0.5 and meas.probs[0, 0] == 0.5
 
 
 def test_single_category_measure_is_valid():
@@ -410,11 +436,21 @@ def test_degree_counts_at_large_n_reproduce_moments(block_measure, n):
     counts = mfng.expected_degree_counts(block_measure, n)
     assert np.all(np.isfinite(counts)) and np.all(counts >= 0.0)
     d = np.arange(n, dtype=float)
-    assert math.isclose(counts.sum(), n, rel_tol=1e-9)
-    assert math.isclose(d @ counts / 2, mfng.expected_edges(block_measure, n), rel_tol=1e-9)
+    assert math.isclose(counts.sum(), n, rel_tol=1e-10)
+    assert math.isclose(d @ counts / 2, mfng.expected_edges(block_measure, n), rel_tol=1e-10)
     for j, binom in ((2, d * (d - 1) / 2), (3, d * (d - 1) * (d - 2) / 6)):
         want = mfng.expected_d_stars(block_measure, n, j)
-        assert math.isclose(binom @ counts, want, rel_tol=1e-9)
+        assert math.isclose(binom @ counts, want, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("p, full_degree", [(1.0, True), (0.0, False)])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_degree_counts_of_degenerate_link_probabilities(p, full_degree, n):
+    # q = 1 and q = 0 are point masses at degree n-1 and 0, with no warning
+    counts = mfng.expected_degree_counts(mfng.make_measure([1.0], [[p]], k=3), n)
+    want = np.zeros(n)
+    want[n - 1 if full_degree else 0] = n
+    assert np.array_equal(counts, want)
 
 
 # ---------------------------------------------------------------------------

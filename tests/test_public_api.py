@@ -13,7 +13,7 @@ LIBRARY_SURFACE = {
     "GeneratingMeasure", "edge_moments", "edge_survival_factor",
     "estimate_clique_number", "expected_d_stars", "expected_degree_counts",
     "expected_edges", "expected_feature_vector", "expected_t_cliques",
-    "make_measure", "parse_feature", "validate_measure",
+    "make_measure", "parse_feature",
     # graphs and counting
     "DegreeDistribution", "Graph", "clustering_coefficient", "count_4cliques",
     "count_stars", "count_triangles", "degree_distribution", "feature_vector",
