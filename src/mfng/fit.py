@@ -7,14 +7,21 @@ simplex search from many random starting points — over a small range of
 candidate depths when none is given — and keeps the best.  Every restart
 draws its start from its own RNG stream keyed by (seed, depth, restart), so
 results are reproducible and adding restarts never discards earlier ones.
+
+Every (depth, restart) search is one lane of a single lockstep simplex
+search: each step evaluates the points of every lane that needs one in one
+call to a batched objective.  The depth k enters an expectation only
+through exp(log placements + k log base), so lanes of all depths share
+those calls, and each lane takes exactly the steps it would take alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +29,8 @@ from .errors import DomainError, ZeroTargetFeatureError
 from .measure import (
     FeatureVector,
     GeneratingMeasure,
+    _level_bases,
+    _log_placements,
     expected_d_stars,
     expected_edges,
     expected_t_cliques,
@@ -47,16 +56,15 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of one :func:`minimize` run."""
+    """Outcome of a Nelder-Mead search: the best vertex ``x``, its value
+    ``fun``, the evaluation count ``nfev`` and ``success``, false when a
+    budget ran out.  :func:`minimize` gives one search's values;
+    :func:`minimize_lanes` gives arrays with one entry (or row) per lane."""
 
     x: np.ndarray
     fun: float
     nfev: int
     success: bool
-
-
-class _BudgetSpent(Exception):
-    """The evaluation budget ran out in the middle of a simplex step."""
 
 
 def minimize(fun, x0) -> SimplexResult:
@@ -68,80 +76,113 @@ def minimize(fun, x0) -> SimplexResult:
     initial simplex, step arithmetic, sorts, convergence test and budget
     handling, so every iterate, ``nfev`` and ``success`` equal scipy's, and
     no scipy module is loaded.  ``success`` is false when either budget ran
-    out.  ``fun`` is called with rows of the simplex and must not modify
+    out.  ``fun`` is called with points of the simplex and must not modify
     its argument.
 
-    ``local_optimize`` calls this module attribute by name, so tests and
-    tracers can rebind ``mfng.fit.minimize``.
+    It is the one-lane case of :func:`minimize_lanes`.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    lane = minimize_lanes(
+        lambda points, lanes: np.array([fun(x) for x in points], dtype=float), x0[None])
+    return SimplexResult(x=lane.x[0], fun=lane.fun[0], nfev=int(lane.nfev[0]),
+                         success=bool(lane.success[0]))
+
+
+def minimize_lanes(fun, x0) -> SimplexResult:
+    """Independent Nelder-Mead searches from the rows of x0, in lockstep.
+
+    Lane i takes exactly the steps :func:`minimize` takes from ``x0[i]``,
+    with its own budgets, and stops when it converges or a budget runs out.
+    Reflection, expansion, contraction and shrink are masked updates of an
+    (L, N+1, N) array of simplices, and the points that one phase of a step
+    needs in all lanes go to ``fun`` in one call.  ``fun(points, lanes)``
+    gets a (P, N) array of points and the (P,) lane index of each; it
+    returns their (P,) values, must not modify its arguments, and a point's
+    value may depend only on the point and its lane.
+
+    Returns a :class:`SimplexResult` of arrays: ``x`` is (L, N) and
+    ``fun``, ``nfev`` and ``success`` are (L,).
     """
     maxiter, maxfev = _MAX_ITERATIONS, 2 * _MAX_ITERATIONS
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
-    N = len(x0)
-    sim = np.tile(x0, (N + 1, 1))
-    for j in range(N):
-        sim[j + 1, j] = (1 + _NONZDELT) * x0[j] if x0[j] != 0 else _ZDELT
-    fsim = np.full((N + 1,), np.inf)
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(x)
-
-    try:
-        for j in range(N + 1):
-            fsim[j] = evaluate(sim[j])
-    except _BudgetSpent:
-        pass
+    x0 = np.array(x0, dtype=float, ndmin=2)
+    L, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    diagonal = np.arange(N)
+    sim[:, diagonal + 1, diagonal] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    fsim = np.full((L, N + 1), np.inf)
+    first = min(N + 1, maxfev)  # the initial vertices the budget allows
+    fsim[:, :first] = fun(sim[:, :first].reshape(-1, N),
+                          np.repeat(np.arange(L), first)).reshape(L, first)
+    nfev = np.full(L, first)
+    iterations = np.ones(L, dtype=int)
+    converged = np.zeros(L, dtype=bool)
     for _ in range(2):  # scipy sorts twice here; ties may reorder
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+        sim, fsim = _sorted(sim, fsim)
 
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.abs(sim[1:] - sim[0]).max() <= _XATOL
-                    and np.abs(fsim[0] - fsim[1:]).max() <= _FATOL):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:
-                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
-                fxe = evaluate(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # contract outside
-                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
-                    fxc = evaluate(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:  # contract inside
-                    xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
-                    fxcc = evaluate(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
-                        fsim[j] = evaluate(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    vertex = np.arange(N + 1)
+    while True:
+        run = np.flatnonzero(~converged & (nfev < maxfev) & (iterations < maxiter))
+        s, f = sim[run], fsim[run]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _FATOL))
+        converged[run[done]] = True
+        run, s, f = run[~done], s[~done], f[~done]
+        if run.size == 0:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = fun(xr, run)
+        nfev[run] += 1
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        # The second point of the step: expansion, or outside or inside
+        # contraction.  A lane with no evaluation left ends its step here.
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None],
+                               (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))
+        second = ~accept & (nfev[run] < maxfev)
+        f2 = np.full(run.size, np.nan)
+        if second.any():
+            f2[second] = fun(x2[second], run[second])
+            nfev[run[second]] += 1
+        take_x2 = second & np.where(expand, f2 < fxr,
+                                    np.where(outside, f2 <= fxr, f2 < f[:, -1]))
+        take_xr = accept | (second & expand & ~take_x2)
+        s[take_xr, -1], f[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        s[take_x2, -1], f[take_x2, -1] = x2[take_x2], f2[take_x2]
+        shrink = second & ~expand & ~take_x2
+        stepped = accept | (second & ~shrink)
+        if shrink.any():
+            # Vertex j moves, then is evaluated; a lane whose budget runs
+            # out moves one vertex more than it evaluates and ends its step.
+            rows = np.flatnonzero(shrink)
+            budget = (maxfev - nfev[run[rows]])[:, None]
+            block, fblock = s[rows], f[rows]
+            moved = block[:, :1] + _SIGMA * (block - block[:, :1])
+            move = (vertex >= 1) & (vertex <= budget + 1)
+            evaluate = (vertex >= 1) & (vertex <= budget)
+            block[move] = moved[move]
+            counts = evaluate.sum(axis=1)
+            if counts.any():
+                fblock[evaluate] = fun(block[evaluate], np.repeat(run[rows], counts))
+            s[rows], f[rows] = block, fblock
+            nfev[run[rows]] += counts
+            stepped[rows] = counts == N
+        iterations[run[stepped]] += 1
+        sim[run], fsim[run] = _sorted(s, f)
 
-    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
-                         success=nfev < maxfev and iterations < maxiter)
+    return SimplexResult(x=sim[:, 0], fun=fsim.min(axis=1), nfev=nfev,
+                         success=(nfev < maxfev) & (iterations < maxiter))
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's simplex with its vertices in order of value."""
+    order = np.argsort(fsim, axis=1)
+    return (np.take_along_axis(sim, order[:, :, None], axis=1),
+            np.take_along_axis(fsim, order, axis=1))
 
 
 @dataclass(frozen=True)
@@ -172,9 +213,24 @@ class FitConfig:
         return tuple(ks)
 
 
+class LaneRecord(NamedTuple):
+    """One (depth, restart) search of a fit: the best objective it reached,
+    its evaluation count, and whether it converged before a budget ran out."""
+
+    k: int
+    restart: int
+    objective: float
+    nfev: int
+    converged: bool
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Winning measure plus enough bookkeeping to audit the search."""
+    """Winning measure plus enough bookkeeping to audit the search.
+
+    ``trace`` holds one :class:`LaneRecord` per (depth, restart), in
+    (k, restart) order.
+    """
 
     measure: GeneratingMeasure
     objective: float
@@ -183,50 +239,88 @@ class FitResult:
     restart: int
     best_by_depth: dict[int, float]
     restarts: int
+    trace: tuple[LaneRecord, ...]
 
 
-def _terms(target: FeatureVector, n: int) -> list[tuple[str, Callable, tuple, float]]:
-    """The objective's terms, one per target feature: its key, its closed
-    form, the arguments that follow the measure, and the observed count,
-    checked to be positive.
-
-    Each key is parsed once here, not once per evaluation.  The closed forms
-    are this module's names for them, looked up when the terms are built, so
-    that a tracer can time the fit's calls to them.
-    """
-    terms = []
-    for key, observed in target.items():
-        if not observed > 0.0:
+def _observed(target: FeatureVector) -> dict[str, float]:
+    """The target's counts by key, each checked to be positive."""
+    observed = {}
+    for key, value in target.items():
+        if not value > 0.0:
             raise ZeroTargetFeatureError(
-                f"target feature {key} is {observed}; fitted features must be positive")
-        kind, order = parse_feature(key)
-        if kind == "edges":
-            closed_form, args = expected_edges, (n,)
-        elif kind == "star":
-            closed_form, args = expected_d_stars, (n, order)
-        else:
-            closed_form, args = expected_t_cliques, (n, order)
-        terms.append((key, closed_form, args, float(observed)))
-    if not terms:
+                f"target feature {key} is {value}; fitted features must be positive")
+        observed[key] = float(value)
+    if not observed:
         raise DomainError("no target features to fit")
-    return terms
+    return observed
+
+
+def _closed_forms(measure: GeneratingMeasure, n: int,
+                  target: FeatureVector) -> list[tuple[str, float, float]]:
+    """(key, observed, expected) for each target feature.
+
+    The expectations come from this module's names for the closed forms, so
+    that a tracer can time the fit's calls to them; one too large for a
+    float is inf.
+    """
+    rows = []
+    for key, observed in _observed(target).items():
+        kind, order = parse_feature(key)
+        try:
+            if kind == "edges":
+                expected = expected_edges(measure, n)
+            elif kind == "star":
+                expected = expected_d_stars(measure, n, order)
+            else:
+                expected = expected_t_cliques(measure, n, order)
+        except OverflowError:
+            expected = math.inf
+        rows.append((key, observed, expected))
+    return rows
+
+
+def _mismatch(rows: list[tuple[str, float, float]]) -> float:
+    """The objective over the rows of :func:`_closed_forms`."""
+    total = 0.0
+    for _, observed, expected in rows:
+        if not math.isfinite(expected):
+            return math.inf
+        total += abs(observed - expected) / observed
+    return total
 
 
 def objective(measure: GeneratingMeasure, n: int, target: FeatureVector) -> float:
     """Relative moment mismatch summed over the target's keys; +inf if an
     expectation blows up."""
-    return _loss(measure, _terms(target, n))
+    return _mismatch(_closed_forms(measure, n, target))
 
 
-def _loss(measure: GeneratingMeasure, terms: Sequence[tuple]) -> float:
-    """The objective over the terms built by :func:`_terms`."""
-    total = 0.0
-    for _, closed_form, args, observed in terms:
-        expected = closed_form(measure, *args)
-        if not math.isfinite(expected):
-            return math.inf
-        total += abs(observed - expected) / observed
-    return total
+def _lane_objective(target: FeatureVector, n: int, m: int, depths):
+    """The objective of every lane as one batched function of the search
+    coordinates: ``fun(points, lanes)`` decodes each point to a measure with
+    m categories at depth ``depths[lane]`` and returns its objective.
+
+    The target is checked, and each key's log placements computed, once
+    here, so a bad target raises its typed error before any search.  A
+    point where an expectation is not finite scores +inf.
+    """
+    observed = _observed(target)
+    features = [parse_feature(key) for key in observed]
+    log_placements = np.array([_log_placements(kind, order, n) for kind, order in features])
+    counts = np.array(list(observed.values()))
+    depths = np.asarray(depths, dtype=float)[:, None]
+
+    def fun(points: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        probs, lengths = _decode_params(points, m)
+        bases = _level_bases(probs, lengths, features)
+        # log 0 = -inf gives an expectation of 0, as in the closed forms;
+        # exp overflowing to inf is caught below.
+        with np.errstate(divide="ignore", over="ignore"):
+            expected = np.exp(log_placements + depths[lanes] * np.log(bases))
+            loss = (np.abs(counts - expected) / counts).sum(axis=1)
+        return np.where(np.isfinite(expected).all(axis=1), loss, np.inf)
+
+    return fun
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,23 +362,27 @@ def _encode_params(probs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _decode_params(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, lengths) of the search point x, or of each row of x."""
     n_tri = m * (m + 1) // 2
     # exp overflows to inf for very negative coordinates; 1 / (1 + inf) = 0
     # is the intended limit, so the warning is noise.
     with np.errstate(over="ignore"):
-        vals = 1.0 / (1.0 + np.exp(-x[:n_tri]))
-    probs = vals[_symmetric_slots(m)]
-    if m > 1:
-        raw = np.empty(m)
-        raw[0] = 0.0
-        raw[1:] = x[n_tri:]
-        raw = np.exp(raw - raw.max())
-        # A length that underflows to zero would fail validation and abort
-        # the whole fit; the floor changes no value that did not underflow.
-        lengths = np.maximum(raw / raw.sum(), _TINY)
-    else:
-        lengths = np.ones(1)
-    return probs, lengths
+        vals = 1.0 / (1.0 + np.exp(-x[..., :n_tri]))
+    probs = vals[..., _symmetric_slots(m)]
+    if m == 1:
+        return probs, np.ones(x.shape[:-1] + (1,))
+    raw = np.zeros(x.shape[:-1] + (m,))
+    raw[..., 1:] = x[..., n_tri:]
+    raw = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    # A length that underflows to zero would fail validation and abort
+    # the whole fit; the floor changes no value that did not underflow.
+    return probs, np.maximum(raw / raw.sum(axis=-1, keepdims=True), _TINY)
+
+
+def _measure_at(x: np.ndarray, m: int, k: int) -> GeneratingMeasure:
+    """The validated measure at the search point x."""
+    probs, lengths = _decode_params(x, m)
+    return make_measure(lengths, probs, k)
 
 
 def local_optimize(
@@ -294,59 +392,50 @@ def local_optimize(
     n: int,
     target: FeatureVector,
 ) -> tuple[GeneratingMeasure, float]:
-    """Simplex descent from one starting point.
+    """Simplex descent from one starting point: the fit's lane search with
+    one lane.
 
-    Returns a validated measure and its recomputed objective; never worse
-    than the starting point's objective.
+    Returns a validated measure and its objective, recomputed through the
+    closed forms.
     """
     m = int(lengths.shape[0])
-    terms = _terms(target, n)
-
-    def loss(x: np.ndarray) -> float:
-        p, l = _decode_params(x, m)
-        return _loss(GeneratingMeasure(m=m, k=k, lengths=l, probs=p), terms)
-
     x0 = _encode_params(np.asarray(probs, dtype=float), np.asarray(lengths, dtype=float))
-    result = minimize(loss, x0)
-    best_measure, best_obj = None, math.inf
-    for x in (x0, result.x):
-        p, l = _decode_params(x, m)
-        meas = make_measure(l, p, k)
-        obj = _loss(meas, terms)
-        if obj < best_obj:
-            best_measure, best_obj = meas, obj
-    return best_measure, best_obj
+    lane = minimize_lanes(_lane_objective(target, n, m, [k]), x0[None])
+    measure = _measure_at(lane.x[0], m, k)
+    return measure, objective(measure, n, target)
 
 
 def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
     """Random-restart moment matching over the configured depths.
 
+    Every (depth, restart) search runs as one lane of :func:`minimize_lanes`.
     Ties break toward smaller depth, then lower restart index, so the result
-    is exactly reproducible from (target, n, config).
+    is exactly reproducible from (target, n, config).  The winner's
+    objective and ratios are recomputed through the closed forms.
     """
     if config.restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {config.restarts}")
     if config.seed < 0:
         raise DomainError(f"seed must be nonnegative, got {config.seed}")
-    terms = _terms(target, n)  # validates up front
     depths = config.depth_candidates(n)
-    best = None  # (objective, k, restart, measure)
-    best_by_depth: dict[int, float] = {}
-    for k in depths:
-        depth_best = math.inf
-        for r in range(config.restarts):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(k, r)))
-            probs0, lengths0 = random_init(config.m, rng)
-            measure, obj = local_optimize(probs0, lengths0, k, n, target)
-            depth_best = min(depth_best, obj)
-            if best is None or obj < best[0]:
-                best = (obj, k, r, measure)
-        best_by_depth[k] = depth_best
-    obj, k, r, measure = best
-    ratios = {key: closed_form(measure, *args) / observed
-              for key, closed_form, args, observed in terms}
+    lanes = list(itertools.product(depths, range(config.restarts)))
+    fun = _lane_objective(target, n, config.m, [k for k, _ in lanes])
+    starts = [
+        _encode_params(*random_init(config.m, np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(k, r)))))
+        for k, r in lanes]
+    search = minimize_lanes(fun, starts)
+    trace = tuple(
+        LaneRecord(k, r, float(obj), int(nfev), bool(ok))
+        for (k, r), obj, nfev, ok in zip(lanes, search.fun, search.nfev, search.success))
+    best = int(np.argmin(search.fun))  # the first minimum: lowest k, then r
+    k, r = lanes[best]
+    measure = _measure_at(search.x[best], config.m, k)
+    rows = _closed_forms(measure, n, target)
     return FitResult(
-        measure=measure, objective=obj, ratios=ratios, k=k, restart=r,
-        best_by_depth=best_by_depth, restarts=config.restarts,
+        measure=measure, objective=_mismatch(rows),
+        ratios={key: expected / observed for key, observed, expected in rows},
+        k=k, restart=r,
+        best_by_depth={d: min(row.objective for row in trace if row.k == d) for d in depths},
+        restarts=config.restarts, trace=trace,
     )

@@ -57,12 +57,15 @@ _KINDS = ("edges", "star", "clique")
 
 @dataclass(frozen=True)
 class GeneratingMeasure:
-    """Parameters of the recursive link model.
+    """Parameters of the recursive link model, valid by construction.
 
-    Construction only takes read-only float copies of the arrays: ragged or
-    non-numeric input raises ``LengthVectorError``/``ProbabilityRangeError``,
-    and nothing else is checked.  Build through :func:`make_measure` to hand
-    a measure to anything that states "valid measure" as a precondition.
+    Construction checks every field and keeps read-only float copies of the
+    arrays: ``lengths`` must be a flat vector of m finite, positive entries
+    summing to one within ``LENGTH_SUM_TOLERANCE``; ``probs`` an exactly
+    symmetric m x m matrix in [0, 1]; and ``k`` an integer in
+    [1, max_depth(m)].  A bad field raises a typed
+    ``MeasureValidationError`` (``DomainError`` for a depth below one).
+    :func:`make_measure` also renormalises the lengths.
     """
 
     m: int
@@ -71,10 +74,17 @@ class GeneratingMeasure:
     probs: np.ndarray
 
     def __post_init__(self):
-        lengths = _as_floats(self.lengths, LengthVectorError, "lengths")
-        probs = _as_floats(self.probs, ProbabilityRangeError, "probs")
+        lengths = _check_lengths(self.lengths)
+        if self.m != lengths.shape[0]:
+            raise LengthVectorError(
+                f"m={self.m!r} but lengths has {lengths.shape[0]} entries")
+        m = lengths.shape[0]
+        probs = _check_probs(self.probs, m)
+        k = _check_depth(self.k, m)
         lengths.flags.writeable = False
         probs.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "probs", probs)
 
@@ -158,23 +168,15 @@ def parse_feature(key: str) -> tuple[str, int]:
 def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
     """Build a valid measure from raw arrays.
 
-    The lengths, the matrix, the depth and the depth cap of
-    :func:`max_depth` are each checked once, before the measure is built,
-    so every bad input raises a typed ``MeasureValidationError``.  Lengths
-    whose sum is within ``LENGTH_SUM_TOLERANCE`` of one are renormalised
-    once (divided by their sum); the matrix must be exactly symmetric.
+    Lengths whose sum is within ``LENGTH_SUM_TOLERANCE`` of one are
+    renormalised once (divided by their sum); every other check is the
+    :class:`GeneratingMeasure` constructor's, so every bad input raises a
+    typed ``MeasureValidationError``.  The matrix must be exactly symmetric.
     """
     lengths = _check_lengths(lengths)
-    m = int(lengths.shape[0])
-    probs = _check_probs(probs, m)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
-    if k > max_depth(m):
-        raise DepthOverflowError(
-            f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
     if lengths.sum() != 1.0:
         lengths = lengths / lengths.sum()
-    return GeneratingMeasure(m=m, k=int(k), lengths=lengths, probs=probs)
+    return GeneratingMeasure(m=lengths.shape[0], k=k, lengths=lengths, probs=probs)
 
 
 def max_depth(m: int) -> int:
@@ -231,6 +233,16 @@ def _check_probs(probs, m: int) -> np.ndarray:
     return probs
 
 
+def _check_depth(k, m: int) -> int:
+    """k as an int, checked to be an integer in [1, max_depth(m)]."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
+    if k > max_depth(m):
+        raise DepthOverflowError(
+            f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
+    return int(k)
+
+
 # ---------------------------------------------------------------------------
 # per-level survival factors
 # ---------------------------------------------------------------------------
@@ -268,13 +280,38 @@ def _clique_survival(probs: np.ndarray, lengths: np.ndarray, t: int) -> float:
     return float(np.einsum(_clique_spec(t), *[lengths] * t, *[probs] * math.comb(t, 2)))
 
 
+def _level_bases(probs: np.ndarray, lengths: np.ndarray,
+                 features: Sequence[tuple[str, int]]) -> np.ndarray:
+    """Per-level survival of each ``(kind, order)`` feature, as
+    :func:`parse_feature` names them, for a stack of measures.
+
+    ``probs`` is (L, m, m) and ``lengths`` (L, m); the result is
+    (L, len(features)).  These are the lane-batched :func:`_pair_survival`,
+    :func:`_star_survival` and :func:`_clique_survival`: ``row = P l`` once,
+    ``sum l * row**d`` per star (d = 1 is the pair), and one einsum with a
+    lane index per clique order.  Each lane's values depend on that lane
+    alone, not on how many lanes are stacked.
+    """
+    row = (probs * lengths[:, None, :]).sum(axis=2)
+    columns = []
+    for kind, order in features:
+        if kind == "clique" and order > 2:
+            columns.append(np.einsum(_clique_spec(order, "z"), *[lengths] * order,
+                                     *[probs] * math.comb(order, 2)))
+        else:
+            d = order if kind == "star" else 1  # an edge is a 2-clique is a 1-star
+            columns.append((lengths * row ** d).sum(axis=1))
+    return np.stack(columns, axis=-1)
+
+
 @functools.lru_cache(maxsize=None)
-def _clique_spec(t: int) -> str:
+def _clique_spec(t: int, lane: str = "") -> str:
     """The einsum spec of :func:`_clique_survival`: one index per node, then
-    one operand per node pair, e.g. "a,b,c,ab,ac,bc->" for t = 3."""
+    one operand per node pair, e.g. "a,b,c,ab,ac,bc->" for t = 3.  A
+    ``lane`` index leads every operand and the output ("za,zb,...->z")."""
     nodes = string.ascii_lowercase[:t]
     pairs = [a + b for a, b in itertools.combinations(nodes, 2)]
-    return ",".join([*nodes, *pairs]) + "->"
+    return ",".join(lane + operand for operand in [*nodes, *pairs]) + "->" + lane
 
 
 def _log_comb(n: int, r: int) -> float:
@@ -293,44 +330,60 @@ def _log_comb(n: int, r: int) -> float:
 # expectations
 # ---------------------------------------------------------------------------
 
+def _log_placements(kind: str, order: int, n: int) -> float:
+    """log of the number of ways to place one feature of this kind and order
+    on n nodes; an order out of range for n, or a clique order beyond
+    ``MAX_CLIQUE_ORDER``, raises a typed error."""
+    if kind == "edges":
+        if n < 2:
+            raise DomainError(f"expected_edges needs n >= 2, got {n}")
+        return _log_comb(n, 2)
+    if kind == "star":
+        if not 1 <= order <= n - 1:
+            raise DomainError(
+                f"star order d must satisfy 1 <= d <= n-1, got d={order}, n={n}")
+        return math.log(n) + _log_comb(n - 1, order)
+    if order > MAX_CLIQUE_ORDER:
+        raise CliqueSizeError(
+            f"clique order {order} exceeds the enumeration cap of {MAX_CLIQUE_ORDER}")
+    if not 2 <= order <= n:
+        raise DomainError(
+            f"clique order t must satisfy 2 <= t <= n, got t={order}, n={n}")
+    return _log_comb(n, order)
+
+
 def expected_edges(measure: GeneratingMeasure, n: int) -> float:
     """Expected edge count on n nodes: C(n,2) * s**k, evaluated in log space."""
-    if n < 2:
-        raise DomainError(f"expected_edges needs n >= 2, got {n}")
+    log_placements = _log_placements("edges", 0, n)
     s = edge_survival_factor(measure)
     if s <= 0.0:
         return 0.0
-    return math.exp(_log_comb(n, 2) + measure.k * math.log(s))
+    return math.exp(log_placements + measure.k * math.log(s))
 
 
 def expected_d_stars(measure: GeneratingMeasure, n: int, d: int) -> float:
     """Expected count of d-stars (a center plus an unordered set of d
     distinct leaves, all linked to the center): n * C(n-1, d) * base**k.
     """
-    if not 1 <= d <= n - 1:
-        raise DomainError(f"star order d must satisfy 1 <= d <= n-1, got d={d}, n={n}")
+    log_placements = _log_placements("star", d, n)
     base = _star_survival(measure.probs, measure.lengths, d)
     if base <= 0.0:
         return 0.0
-    return math.exp(math.log(n) + _log_comb(n - 1, d) + measure.k * math.log(base))
+    return math.exp(log_placements + measure.k * math.log(base))
 
 
 def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     """Expected count of t-cliques: C(n, t) * clique survival ** k."""
-    if t > MAX_CLIQUE_ORDER:
-        raise CliqueSizeError(
-            f"clique order {t} exceeds the enumeration cap of {MAX_CLIQUE_ORDER}")
-    if not 2 <= t <= n:
-        raise DomainError(f"clique order t must satisfy 2 <= t <= n, got t={t}, n={n}")
     return math.exp(_log_expected_cliques(measure, n, t))
 
 
 def _log_expected_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     """log of the expected t-clique count; -inf when no t-clique survives."""
+    log_placements = _log_placements("clique", t, n)
     base = _clique_survival(measure.probs, measure.lengths, t)
     if base <= 0.0:
         return -math.inf
-    return _log_comb(n, t) + measure.k * math.log(base)
+    return log_placements + measure.k * math.log(base)
 
 
 def _edge_moments_from_logs(n: int, log_s: float, log_wedge: float) -> EdgeMoments:

@@ -234,13 +234,13 @@ def test_criterion_06_synthetic_recovery():
     result = mfng.fit(target, n, mfng.FitConfig(m=2, restarts=200, seed=0))
     good = sum(1 for r in result.ratios.values() if 0.9 <= r <= 1.1)
     elapsed = time.perf_counter() - t0
-    ok = good >= 5 and elapsed < 900.0
+    ok = good >= 5 and elapsed < 60.0
     ratios = {k: round(v, 3) for k, v in result.ratios.items()}
     report(6, "synthetic measure recovery by moment matching", ok,
            f"{good}/6 ratios in [0.9, 1.1], k={result.k}, "
            f"objective {result.objective:.4f}, {elapsed:.0f}s; {ratios}")
     assert good >= 5, ratios
-    assert elapsed < 900.0
+    assert elapsed < 60.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import mfng
-from mfng import DomainError, ZeroTargetFeatureError
+from mfng import CliqueSizeError, DomainError, ZeroTargetFeatureError
 from mfng.fit import (
     FitConfig,
     _decode_params,
     _encode_params,
+    _lane_objective,
+    _measure_at,
     local_optimize,
     objective,
     random_init,
@@ -117,12 +119,17 @@ def test_decode_params_logistic_limit_is_silent():
 
 
 def scipy_search(fun, x0):
-    """scipy's Nelder-Mead at the fit's options, as a stand-in for minimize."""
+    """scipy's Nelder-Mead at the fit's options: the reference search."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, method="Nelder-Mead", options={
         "fatol": fit_module._FATOL, "xatol": fit_module._XATOL,
         "maxiter": fit_module._MAX_ITERATIONS, "maxfev": 2 * fit_module._MAX_ITERATIONS})
+
+
+def rugged(x):
+    """A function whose contractions often fail, so the search shrinks."""
+    return float(np.sin(1e4 * x).sum() + 0.1 * (x ** 2).sum())
 
 
 # The zero coordinate takes the absolute initial step.  The caps end the
@@ -148,29 +155,112 @@ def test_minimize_matches_scipy_at_the_fit_options(monkeypatch, x0, max_iteratio
     assert ours.success == (max_iterations is None)
 
 
-def test_local_optimize_matches_a_scipy_search(monkeypatch, block_measure_k4):
+LANE_STARTS = [[0.0, 0.5, -0.3, 1.1], [-1.2, 1.0, 0.8, 0.3],
+               [1.3, 0.7, 0.8, 1.9], [2.0, -1.0, 0.5, 0.0]]
+
+
+# Lanes run out of their budgets at different steps.  On the rugged
+# function, at caps 6 and 10 some lanes run out in the middle of a shrink,
+# and at cap 6 one has no evaluation left when its shrink starts.
+@pytest.mark.parametrize("function", ["rosen", "rugged"])
+@pytest.mark.parametrize("max_iterations", [None, 1, 3, 6, 10],
+                         ids=["full_budget", "cap1", "cap3", "cap6", "cap10"])
+def test_lanes_each_match_a_scipy_search(monkeypatch, function, max_iterations):
+    from scipy.optimize import rosen
+
+    fun = rosen if function == "rosen" else rugged
+    if max_iterations is not None:
+        monkeypatch.setattr(fit_module, "_MAX_ITERATIONS", max_iterations)
+    lanes = fit_module.minimize_lanes(
+        lambda points, ids: np.array([fun(x) for x in points]), LANE_STARTS)
+    for i, x0 in enumerate(LANE_STARTS):
+        theirs = scipy_search(fun, np.array(x0))
+        assert np.array_equal(lanes.x[i], theirs.x)
+        assert lanes.fun[i] == theirs.fun
+        assert lanes.nfev[i] == theirs.nfev
+        assert lanes.success[i] == theirs.success
+
+
+def test_local_optimize_matches_a_scipy_search(block_measure_k4):
     n = 400
     target = exact_target(block_measure_k4, n)
-    starts = [random_init(2, np.random.default_rng(seed)) for seed in range(4)]
-    ours = [local_optimize(probs, lengths, 4, n, target) for probs, lengths in starts]
-    monkeypatch.setattr(fit_module, "minimize", scipy_search)
-    theirs = [local_optimize(probs, lengths, 4, n, target) for probs, lengths in starts]
-    for (meas, obj), (scipy_meas, scipy_obj) in zip(ours, theirs):
+    lane_objective = _lane_objective(target, n, 2, [4])
+    for seed in range(4):
+        probs, lengths = random_init(2, np.random.default_rng(seed))
+        meas, obj = local_optimize(probs, lengths, 4, n, target)
+        theirs = scipy_search(lambda x: lane_objective(x[None], np.zeros(1, dtype=int))[0],
+                              _encode_params(probs, lengths))
+        scipy_meas = _measure_at(theirs.x, 2, 4)
         assert np.array_equal(meas.probs, scipy_meas.probs)
         assert np.array_equal(meas.lengths, scipy_meas.lengths)
-        assert obj == scipy_obj
+        assert obj == objective(scipy_meas, n, target)
 
 
 def test_local_optimize_survives_an_underflowed_length(monkeypatch, block_measure_k4):
     n = 400
     target = exact_target(block_measure_k4, n)
-    monkeypatch.setattr(fit_module, "minimize",
-                        lambda *args, **kwargs: SimpleNamespace(x=UNDERFLOWING))
+    monkeypatch.setattr(fit_module, "minimize_lanes",
+                        lambda fun, x0: SimpleNamespace(x=UNDERFLOWING[None]))
     probs0 = np.array([[0.5, 0.5], [0.5, 0.5]])
     lengths0 = np.array([0.5, 0.5])
     meas, obj = local_optimize(probs0, lengths0, 4, n, target)
     assert np.all(meas.lengths > 0.0)
     assert math.isfinite(obj)
+
+
+# ---------------------------------------------------------------------------
+# the batched objective
+# ---------------------------------------------------------------------------
+
+def random_points(m, count, rng):
+    """Search points of random measures, some with a zero row of P (its
+    logits decode to exactly 0), one with every probability zero."""
+    points = np.array([_encode_params(*random_init(m, rng)) for _ in range(count)])
+    n_tri = m * (m + 1) // 2
+    row = np.flatnonzero(np.triu_indices(m)[0] == 0)  # row 0 of P
+    points[: count // 4, row] = -1000.0
+    points[count // 4, :n_tri] = -1000.0
+    return points
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n, features", [
+    (300, ("edges", "S2", "S3", "S4", "C3", "C4")),
+    (40, ("edges", "S1", "S5", "C2", "C3", "C5", "C8")),
+    # C(n, 4) alone is about 1e318: stars and cliques of near-complete
+    # measures overflow a float, the rest do not
+    (10 ** 80, ("edges", "S2", "S4", "C3", "C4")),
+], ids=["default", "orders", "overflow"])
+def test_batched_objective_matches_the_scalar_objective(m, n, features):
+    rng = np.random.default_rng(m)
+    target = mfng.FeatureVector({key: float(rng.integers(1, 10 ** 6)) for key in features})
+    depths = np.array([1, 2, 5, 9, 14])
+    points = random_points(m, 80, rng)
+    lanes = rng.integers(0, depths.size, size=points.shape[0])
+    batched = _lane_objective(target, n, m, depths)(points, lanes)
+    scalar = np.array([objective(_measure_at(x, m, int(depths[lane])), n, target)
+                       for x, lane in zip(points, lanes)])
+    assert not np.any(np.isnan(batched))
+    assert np.array_equal(np.isinf(batched), np.isinf(scalar))
+    finite = np.isfinite(scalar)
+    assert np.allclose(batched[finite], scalar[finite], rtol=1e-12, atol=0.0)
+    if n > 10 ** 6:
+        assert np.isinf(batched).any() and finite.any()
+
+
+@pytest.mark.parametrize("features, error", [
+    ({"edges": 10.0, "C9": 1.0}, CliqueSizeError),
+    ({"edges": 10.0, "S20": 1.0}, DomainError),
+    ({"edges": 10.0, "C3": 0.0}, ZeroTargetFeatureError),
+])
+def test_bad_target_raises_before_any_search(monkeypatch, features, error):
+    def no_search(fun, x0):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(fit_module, "minimize_lanes", no_search)
+    target = mfng.FeatureVector(features)
+    with pytest.raises(error):
+        mfng.fit(target, 20, FitConfig(m=2, restarts=2))
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +342,38 @@ def test_fit_reports_the_depth_sweep(block_measure_k4):
     assert math.isclose(
         result.best_by_depth[result.k], result.objective, rel_tol=1e-12)
     assert result.objective == min(result.best_by_depth.values())
+
+
+def test_fit_trace_holds_every_lane(block_measure_k4):
+    n = 150
+    target = exact_target(block_measure_k4, n, features=("edges", "S2", "C3"))
+    cfg = FitConfig(m=2, restarts=4, seed=2)
+    result = mfng.fit(target, n, cfg)
+    depths = cfg.depth_candidates(n)
+    assert [(row.k, row.restart) for row in result.trace] == \
+        [(k, r) for k in depths for r in range(4)]
+    for k in depths:
+        assert min(row.objective for row in result.trace if row.k == k) \
+            == result.best_by_depth[k]
+    objectives = [row.objective for row in result.trace]
+    winner = result.trace[objectives.index(min(objectives))]
+    assert (winner.k, winner.restart) == (result.k, result.restart)
+    assert all(row.nfev > 0 for row in result.trace)
+
+
+def test_fit_lanes_do_not_depend_on_the_restart_count(monkeypatch, block_measure_k4):
+    n = 150
+    target = exact_target(block_measure_k4, n, features=("edges", "S2", "C3"))
+    searches = []
+    real = fit_module.minimize_lanes
+
+    def recording(fun, x0):
+        searches.append(real(fun, x0))
+        return searches[-1]
+
+    monkeypatch.setattr(fit_module, "minimize_lanes", recording)
+    few = mfng.fit(target, n, FitConfig(m=2, restarts=3, seed=5))
+    many = mfng.fit(target, n, FitConfig(m=2, restarts=10, seed=5))
+    kept = [i for i, row in enumerate(many.trace) if row.restart < 3]
+    assert few.trace == tuple(many.trace[i] for i in kept)
+    assert np.array_equal(searches[0].x, searches[1].x[kept])

@@ -107,6 +107,42 @@ def test_direct_construction_types_ragged_arrays(lengths, probs, error):
         mfng.GeneratingMeasure(m=2, k=2, lengths=lengths, probs=probs)
 
 
+HALF = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("lengths, probs, k, error", [
+    ([0.3, 0.8], HALF, 2, LengthVectorError),
+    ([0.0, 1.0], HALF, 2, LengthVectorError),
+    ([-0.1, 1.1], HALF, 2, LengthVectorError),
+    ([np.inf, 1.0], HALF, 2, LengthVectorError),
+    ([[0.5, 0.5]], HALF, 2, LengthVectorError),
+    (["a", "b"], HALF, 2, LengthVectorError),
+    ([0.5, 0.5], [[0.5, "x"], [0.5, 0.5]], 2, ProbabilityRangeError),
+    ([0.5, 0.5], [[0.5]], 2, ProbabilityRangeError),
+    ([0.5, 0.5], [[0.5, np.nan], [np.nan, 0.5]], 2, ProbabilityRangeError),
+    ([0.5, 0.5], [[0.5, 1.2], [1.2, 0.5]], 2, ProbabilityRangeError),
+    ([0.5, 0.5], [[-0.1, 0.5], [0.5, 0.5]], 2, ProbabilityRangeError),
+    ([0.5, 0.5], [[0.5, 0.5 + 1e-12], [0.5, 0.5]], 2, NonSymmetricError),
+    ([0.5, 0.5], HALF, 0, DomainError),
+    ([0.5, 0.5], HALF, 2.7, DomainError),
+    ([0.5, 0.5], HALF, None, DomainError),
+    ([0.5, 0.5], HALF, 63, DepthOverflowError),
+    ([1.0], [[0.5]], max_depth(1) + 1, DepthOverflowError),
+])
+def test_direct_construction_rejects_what_make_measure_rejects(lengths, probs, k, error):
+    with pytest.raises(error):
+        mfng.make_measure(lengths, probs, k)
+    with pytest.raises(error):
+        mfng.GeneratingMeasure(m=len(lengths), k=k, lengths=lengths, probs=probs)
+
+
+def test_direct_construction_checks_m_against_the_lengths():
+    with pytest.raises(LengthVectorError):
+        mfng.GeneratingMeasure(m=3, k=2, lengths=[0.5, 0.5], probs=HALF)
+    meas = mfng.GeneratingMeasure(m=np.int64(2), k=np.int64(3), lengths=[0.5, 0.5], probs=HALF)
+    assert type(meas.m) is int and type(meas.k) is int
+
+
 def test_direct_construction_leaves_the_callers_arrays_writable():
     lengths, probs = np.array([0.5, 0.5]), np.full((2, 2), 0.5)
     meas = mfng.GeneratingMeasure(m=2, k=2, lengths=lengths, probs=probs)
