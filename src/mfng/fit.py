@@ -13,6 +13,10 @@ search: each step evaluates the points of every lane that needs one in one
 call to a batched objective.  The depth k enters an expectation only
 through exp(log placements + k log base), so lanes of all depths share
 those calls, and each lane takes exactly the steps it would take alone.
+The objective is written once, over stacked measures, from the closed-form
+engine in ``measure``: :func:`objective` is its one-lane case, and a fit
+computes the target's log placements once.  A fit's objective is its
+winning lane's own value.
 """
 
 from __future__ import annotations
@@ -26,13 +30,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ZeroTargetFeatureError
+# The search never calls expected_edges, expected_d_stars or
+# expected_t_cliques; they stay bound here because perfbench/launch.py
+# rebinds them in this module by name.
 from .measure import (
     FeatureVector,
     GeneratingMeasure,
     _level_bases,
+    _log_expected,
     _log_placements,
     expected_d_stars,
     expected_edges,
+    expected_feature_vector,
     expected_t_cliques,
     make_measure,
     max_depth,
@@ -187,9 +196,12 @@ def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit settings.
+    """Fit settings, checked on construction.
 
-    ``k=None`` sweeps depths around ceil(log_m n); a given ``k`` pins it.
+    ``m`` is an integer >= 1; ``k=None`` sweeps depths around ceil(log_m n),
+    and an integer ``k`` in [1, max_depth(m)] pins it; ``restarts`` is an
+    integer >= 1 and ``seed`` an integer >= 0.  A bad field raises
+    ``DomainError``.
     """
 
     m: int
@@ -197,20 +209,35 @@ class FitConfig:
     restarts: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        _check_integer("m", self.m, 1)
+        _check_integer("restarts", self.restarts, 1)
+        _check_integer("seed", self.seed, 0)
+        if self.k is not None:
+            _check_integer("depth k", self.k, 1)
+            if self.k > max_depth(self.m):
+                raise DomainError(
+                    f"depth k={self.k} outside [1, {max_depth(self.m)}] for m={self.m}")
+
     def depth_candidates(self, n: int) -> tuple[int, ...]:
         """Depths to try: the given k, or a +/-2 window around ceil(log_m n)."""
-        cap = max_depth(self.m)
         if self.k is not None:
-            if not 1 <= self.k <= cap:
-                raise DomainError(f"depth k={self.k} outside [1, {cap}] for m={self.m}")
             return (self.k,)
         if n < 2:
             raise DomainError(f"need n >= 2 to pick a depth, got {n}")
+        cap = max_depth(self.m)
         center = math.ceil(math.log(n) / math.log(self.m)) if self.m > 1 else 1
         ks = [k for k in range(center - 2, center + 3) if 1 <= k <= cap]
         if not ks:
             ks = [min(cap, max(1, center))]
         return tuple(ks)
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise DomainError unless value is an integer (not a bool) >= low."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class LaneRecord(NamedTuple):
@@ -255,70 +282,48 @@ def _observed(target: FeatureVector) -> dict[str, float]:
     return observed
 
 
-def _closed_forms(measure: GeneratingMeasure, n: int,
-                  target: FeatureVector) -> list[tuple[str, float, float]]:
-    """(key, observed, expected) for each target feature.
-
-    The expectations come from this module's names for the closed forms, so
-    that a tracer can time the fit's calls to them; one too large for a
-    float is inf.
-    """
-    rows = []
-    for key, observed in _observed(target).items():
-        kind, order = parse_feature(key)
-        try:
-            if kind == "edges":
-                expected = expected_edges(measure, n)
-            elif kind == "star":
-                expected = expected_d_stars(measure, n, order)
-            else:
-                expected = expected_t_cliques(measure, n, order)
-        except OverflowError:
-            expected = math.inf
-        rows.append((key, observed, expected))
-    return rows
-
-
-def _mismatch(rows: list[tuple[str, float, float]]) -> float:
-    """The objective over the rows of :func:`_closed_forms`."""
-    total = 0.0
-    for _, observed, expected in rows:
-        if not math.isfinite(expected):
-            return math.inf
-        total += abs(observed - expected) / observed
-    return total
-
-
-def objective(measure: GeneratingMeasure, n: int, target: FeatureVector) -> float:
-    """Relative moment mismatch summed over the target's keys; +inf if an
-    expectation blows up."""
-    return _mismatch(_closed_forms(measure, n, target))
-
-
-def _lane_objective(target: FeatureVector, n: int, m: int, depths):
-    """The objective of every lane as one batched function of the search
-    coordinates: ``fun(points, lanes)`` decodes each point to a measure with
-    m categories at depth ``depths[lane]`` and returns its objective.
+def _scorer(target: FeatureVector, n: int):
+    """The objective as one batched function of stacked measures:
+    ``score(probs, lengths, depths)`` takes (L, m, m) matrices, (L, m)
+    lengths and (L, 1) depths and returns the (L,) objectives.
 
     The target is checked, and each key's log placements computed, once
-    here, so a bad target raises its typed error before any search.  A
-    point where an expectation is not finite scores +inf.
+    here, so a bad target raises its typed error before any evaluation.  A
+    measure with an expectation that is not finite scores +inf.
     """
     observed = _observed(target)
     features = [parse_feature(key) for key in observed]
     log_placements = np.array([_log_placements(kind, order, n) for kind, order in features])
     counts = np.array(list(observed.values()))
+
+    def score(probs: np.ndarray, lengths: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        # exp overflowing to inf is caught below.
+        with np.errstate(over="ignore"):
+            expected = np.exp(_log_expected(
+                log_placements, depths, _level_bases(probs, lengths, features)))
+            loss = (np.abs(counts - expected) / counts).sum(axis=1)
+        return np.where(np.isfinite(expected).all(axis=1), loss, np.inf)
+
+    return score
+
+
+def objective(measure: GeneratingMeasure, n: int, target: FeatureVector) -> float:
+    """Relative moment mismatch summed over the target's keys; +inf if an
+    expectation blows up."""
+    score = _scorer(target, n)
+    return float(score(measure.probs[None], measure.lengths[None],
+                       np.array([[measure.k]]))[0])
+
+
+def _lane_objective(target: FeatureVector, n: int, m: int, depths):
+    """The objective of every lane as one batched function of the search
+    coordinates: ``fun(points, lanes)`` decodes each point to a measure with
+    m categories at depth ``depths[lane]`` and returns its objective."""
+    score = _scorer(target, n)
     depths = np.asarray(depths, dtype=float)[:, None]
 
     def fun(points: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        probs, lengths = _decode_params(points, m)
-        bases = _level_bases(probs, lengths, features)
-        # log 0 = -inf gives an expectation of 0, as in the closed forms;
-        # exp overflowing to inf is caught below.
-        with np.errstate(divide="ignore", over="ignore"):
-            expected = np.exp(log_placements + depths[lanes] * np.log(bases))
-            loss = (np.abs(counts - expected) / counts).sum(axis=1)
-        return np.where(np.isfinite(expected).all(axis=1), loss, np.inf)
+        return score(*_decode_params(points, m), depths[lanes])
 
     return fun
 
@@ -395,8 +400,7 @@ def local_optimize(
     """Simplex descent from one starting point: the fit's lane search with
     one lane.
 
-    Returns a validated measure and its objective, recomputed through the
-    closed forms.
+    Returns a validated measure and its :func:`objective`.
     """
     m = int(lengths.shape[0])
     x0 = _encode_params(np.asarray(probs, dtype=float), np.asarray(lengths, dtype=float))
@@ -410,13 +414,10 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
 
     Every (depth, restart) search runs as one lane of :func:`minimize_lanes`.
     Ties break toward smaller depth, then lower restart index, so the result
-    is exactly reproducible from (target, n, config).  The winner's
-    objective and ratios are recomputed through the closed forms.
+    is exactly reproducible from (target, n, config).  The result's
+    objective is the winning lane's own value; its ratios come from
+    :func:`expected_feature_vector` at the winner's measure.
     """
-    if config.restarts < 1:
-        raise DomainError(f"restarts must be at least 1, got {config.restarts}")
-    if config.seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {config.seed}")
     depths = config.depth_candidates(n)
     lanes = list(itertools.product(depths, range(config.restarts)))
     fun = _lane_objective(target, n, config.m, [k for k, _ in lanes])
@@ -431,10 +432,11 @@ def fit(target: FeatureVector, n: int, config: FitConfig) -> FitResult:
     best = int(np.argmin(search.fun))  # the first minimum: lowest k, then r
     k, r = lanes[best]
     measure = _measure_at(search.x[best], config.m, k)
-    rows = _closed_forms(measure, n, target)
+    expected = expected_feature_vector(measure, n, target.keys())
     return FitResult(
-        measure=measure, objective=_mismatch(rows),
-        ratios={key: expected / observed for key, observed, expected in rows},
+        measure=measure, objective=trace[best].objective,
+        ratios={key: expected.value(key) / observed
+                for key, observed in _observed(target).items()},
         k=k, restart=r,
         best_by_depth={d: min(row.objective for row in trace if row.k == d) for d in depths},
         restarts=config.restarts, trace=trace,

@@ -13,6 +13,13 @@ a per-level pattern survival factor, taken to the k-th power, times the
 number of ways to place the pattern.  Binomial placement counts are kept in
 log space so that the astronomically large counts of, say, 4-stars on 10^5
 nodes never overflow.
+
+One engine computes them all.  ``_level_bases`` is the only code that
+computes per-level survivals, for a stack of measures (lanes), and
+``_log_expected`` is the one log-space step, log placements + depth * log
+base.  The public closed forms are its one-lane case, the edge moments and
+the sampler's edge target sum per-level logs over lanes, and the fit's
+objective evaluates many measures in one call.
 """
 
 from __future__ import annotations
@@ -127,8 +134,7 @@ class FeatureVector:
         ranked = {}
         for key, value in self.data.items():
             kind, order = parse_feature(key)
-            name = "edges" if kind == "edges" else f"{kind[0].upper()}{order}"
-            ranked[(_KINDS.index(kind), order)] = (name, value)
+            ranked[(_KINDS.index(kind), order)] = (_feature_key(kind, order), value)
         object.__setattr__(self, "data", dict(ranked[rank] for rank in sorted(ranked)))
 
     def keys(self) -> tuple[str, ...]:
@@ -247,37 +253,13 @@ def _check_depth(k, m: int) -> int:
 # per-level survival factors
 # ---------------------------------------------------------------------------
 
+# The pair and the wedge (2-star) survivals behind the edge variance.
+_EDGE_AND_WEDGE = (("edges", 0), ("star", 2))
+
+
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
     """Per-level probability that one node pair survives: sum p_ij l_i l_j."""
-    return _pair_survival(measure.probs, measure.lengths)
-
-
-def _pair_survival(probs: np.ndarray, lengths: np.ndarray) -> float:
-    """Per-level survival of one node pair (a 2-clique): l.P.l."""
-    return float(lengths @ probs @ lengths)
-
-
-def _star_survival(probs: np.ndarray, lengths: np.ndarray, d: int) -> float:
-    """Per-level survival of a d-star, factorized to O(m^2).
-
-    Conditioning on the center's category i, each leaf independently
-    survives with probability (P l)_i, so the d leaves contribute that row
-    mix to the d-th power.
-    """
-    row = probs @ lengths
-    return float(np.dot(lengths, row ** d))
-
-
-def _clique_survival(probs: np.ndarray, lengths: np.ndarray, t: int) -> float:
-    """Per-level survival of a t-clique: sum over category tuples of the
-    product of all pairwise link probabilities, weighted by the tuple mass.
-
-    One einsum over t length vectors and C(t, 2) copies of the matrix; no
-    m**t grid is ever materialized.
-    """
-    if t == 2:  # the edge arithmetic, so C2 equals the edge count
-        return _pair_survival(probs, lengths)
-    return float(np.einsum(_clique_spec(t), *[lengths] * t, *[probs] * math.comb(t, 2)))
+    return float(_measure_bases(measure, [("edges", 0)])[0])
 
 
 def _level_bases(probs: np.ndarray, lengths: np.ndarray,
@@ -286,17 +268,20 @@ def _level_bases(probs: np.ndarray, lengths: np.ndarray,
     :func:`parse_feature` names them, for a stack of measures.
 
     ``probs`` is (L, m, m) and ``lengths`` (L, m); the result is
-    (L, len(features)).  These are the lane-batched :func:`_pair_survival`,
-    :func:`_star_survival` and :func:`_clique_survival`: ``row = P l`` once,
-    ``sum l * row**d`` per star (d = 1 is the pair), and one einsum with a
-    lane index per clique order.  Each lane's values depend on that lane
-    alone, not on how many lanes are stacked.
+    (L, len(features)).  A d-star survives with sum_i l_i (P l)_i ** d:
+    given the center's category i, each leaf links to it independently with
+    probability (P l)_i.  An edge is the 1-star and the 2-clique.  A t-clique
+    survives with the sum over category tuples of the tuple's mass times
+    every pairwise link probability: one einsum over t length vectors and
+    C(t, 2) copies of the matrix, so no m**t grid is materialized.  Each
+    lane's values depend on that lane alone, not on how many lanes are
+    stacked.
     """
     row = (probs * lengths[:, None, :]).sum(axis=2)
     columns = []
     for kind, order in features:
         if kind == "clique" and order > 2:
-            columns.append(np.einsum(_clique_spec(order, "z"), *[lengths] * order,
+            columns.append(np.einsum(_clique_spec(order), *[lengths] * order,
                                      *[probs] * math.comb(order, 2)))
         else:
             d = order if kind == "star" else 1  # an edge is a 2-clique is a 1-star
@@ -304,14 +289,20 @@ def _level_bases(probs: np.ndarray, lengths: np.ndarray,
     return np.stack(columns, axis=-1)
 
 
+def _measure_bases(measure: GeneratingMeasure,
+                   features: Sequence[tuple[str, int]]) -> np.ndarray:
+    """:func:`_level_bases` of one measure, as a one-lane stack."""
+    return _level_bases(measure.probs[None], measure.lengths[None], features)[0]
+
+
 @functools.lru_cache(maxsize=None)
-def _clique_spec(t: int, lane: str = "") -> str:
-    """The einsum spec of :func:`_clique_survival`: one index per node, then
-    one operand per node pair, e.g. "a,b,c,ab,ac,bc->" for t = 3.  A
-    ``lane`` index leads every operand and the output ("za,zb,...->z")."""
+def _clique_spec(t: int) -> str:
+    """The lane einsum spec of a t-clique survival: a lane index, then one
+    operand per node and one per node pair, e.g. "za,zb,zc,zab,zac,zbc->z"
+    for t = 3."""
     nodes = string.ascii_lowercase[:t]
     pairs = [a + b for a, b in itertools.combinations(nodes, 2)]
-    return ",".join(lane + operand for operand in [*nodes, *pairs]) + "->" + lane
+    return ",".join("z" + operand for operand in [*nodes, *pairs]) + "->z"
 
 
 def _log_comb(n: int, r: int) -> float:
@@ -352,53 +343,71 @@ def _log_placements(kind: str, order: int, n: int) -> float:
     return _log_comb(n, order)
 
 
+def _log_expected(log_placements, depths, bases: np.ndarray) -> np.ndarray:
+    """log placements + depth * log base, elementwise: the log of every
+    expectation.  A base of zero gives -inf, an expectation of zero."""
+    with np.errstate(divide="ignore"):
+        return log_placements + depths * np.log(bases)
+
+
+def _expected(measure: GeneratingMeasure, n: int,
+              features: Sequence[tuple[str, int]]) -> np.ndarray:
+    """Expected count of each ``(kind, order)`` feature on n nodes.
+
+    A count too large for a float raises ``OverflowError`` naming the
+    feature and n.
+    """
+    log_placements = np.array([_log_placements(kind, order, n) for kind, order in features])
+    with np.errstate(over="ignore"):
+        values = np.exp(_log_expected(log_placements, measure.k,
+                                      _measure_bases(measure, features)))
+    for feature, value in zip(features, values):
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"expected {_feature_key(*feature)} count on n={n} nodes overflows a float")
+    return values
+
+
+def _feature_key(kind: str, order: int) -> str:
+    """The canonical key of a parsed feature: "edges", "S<d>" or "C<t>"."""
+    return "edges" if kind == "edges" else f"{kind[0].upper()}{order}"
+
+
 def expected_edges(measure: GeneratingMeasure, n: int) -> float:
     """Expected edge count on n nodes: C(n,2) * s**k, evaluated in log space."""
-    log_placements = _log_placements("edges", 0, n)
-    s = edge_survival_factor(measure)
-    if s <= 0.0:
-        return 0.0
-    return math.exp(log_placements + measure.k * math.log(s))
+    return float(_expected(measure, n, [("edges", 0)])[0])
 
 
 def expected_d_stars(measure: GeneratingMeasure, n: int, d: int) -> float:
     """Expected count of d-stars (a center plus an unordered set of d
     distinct leaves, all linked to the center): n * C(n-1, d) * base**k.
     """
-    log_placements = _log_placements("star", d, n)
-    base = _star_survival(measure.probs, measure.lengths, d)
-    if base <= 0.0:
-        return 0.0
-    return math.exp(log_placements + measure.k * math.log(base))
+    return float(_expected(measure, n, [("star", d)])[0])
 
 
 def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     """Expected count of t-cliques: C(n, t) * clique survival ** k."""
-    return math.exp(_log_expected_cliques(measure, n, t))
+    return float(_expected(measure, n, [("clique", t)])[0])
 
 
-def _log_expected_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
-    """log of the expected t-clique count; -inf when no t-clique survives."""
-    log_placements = _log_placements("clique", t, n)
-    base = _clique_survival(measure.probs, measure.lengths, t)
-    if base <= 0.0:
-        return -math.inf
-    return log_placements + measure.k * math.log(base)
-
-
-def _edge_moments_from_logs(n: int, log_s: float, log_wedge: float) -> EdgeMoments:
-    """Edge-count moments from the log survival of one pair and of a wedge
-    over all levels (-inf for a wedge that cannot survive).
+def _edge_moments_from_levels(n: int, bases: np.ndarray, depth: int) -> EdgeMoments:
+    """Edge-count moments from (L, 2) per-level pair and wedge survivals,
+    each level taken ``depth`` times: their logs are summed over levels.
 
     The variance is mean*(1-mean) + 2*E[S_2] + C(n,2)*C(n-2,2)*s**(2k); the
     wedge and disjoint-pair terms vanish on their own below n = 3 and n = 4
     because the binomials are zero.  To dodge the catastrophic cancellation
     between -mean**2 and the disjoint-pair term, the two are combined
-    analytically: C(n,2)*(C(n-2,2) - C(n,2)) = C(n,2)*(3 - 2n).
+    analytically: C(n,2)*(C(n-2,2) - C(n,2)) = C(n,2)*(3 - 2n).  A pair that
+    cannot survive has log survival -inf, which gives moments (0, 0, 0).
     """
-    mean = math.exp(_log_comb(n, 2) + log_s)
-    wedges = math.exp(math.log(n) + _log_comb(n - 1, 2) + log_wedge) if n >= 3 else 0.0
-    cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * log_s)
+    log_s, log_wedge = _log_expected(0.0, depth, bases).sum(axis=0)
+    try:
+        mean = math.exp(_log_comb(n, 2) + log_s)
+        wedges = math.exp(math.log(n) + _log_comb(n - 1, 2) + log_wedge) if n >= 3 else 0.0
+        cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * log_s)
+    except OverflowError:
+        raise OverflowError(f"edge-count moments on n={n} nodes overflow a float") from None
     variance = mean + 2.0 * wedges + cross
     if variance < 0.0:
         if abs(variance) <= 1e-9 * mean * mean:
@@ -410,16 +419,11 @@ def _edge_moments_from_logs(n: int, log_s: float, log_wedge: float) -> EdgeMomen
 
 
 def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
-    """Edge-count mean and variance (see :func:`_edge_moments_from_logs`)."""
+    """Edge-count mean and variance (see :func:`_edge_moments_from_levels`)."""
     if n < 2:
         raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    k = measure.k
-    s = edge_survival_factor(measure)
-    if s <= 0.0:
-        return EdgeMoments(0.0, 0.0, 0.0)
-    wedge = _star_survival(measure.probs, measure.lengths, 2)
-    log_wedge = k * math.log(wedge) if wedge > 0.0 else -math.inf
-    return _edge_moments_from_logs(n, k * math.log(s), log_wedge)
+    return _edge_moments_from_levels(n, _measure_bases(measure, _EDGE_AND_WEDGE)[None],
+                                     measure.k)
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
@@ -478,25 +482,21 @@ def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEs
     cap = min(n, MAX_CLIQUE_ORDER)
     t_star = 1
     for t in range(2, cap + 1):
-        if _log_expected_cliques(measure, n, t) < 0.0:
+        log_count = _log_expected(_log_placements("clique", t, n), measure.k,
+                                  _measure_bases(measure, [("clique", t)]))
+        if log_count[0] < 0.0:
             break
         t_star = t
     capped = t_star == cap and cap < n
     return CliqueNumberEstimate(t_star=t_star, capped=capped)
 
 
-def _expected_feature(measure: GeneratingMeasure, n: int, key: str) -> float:
-    kind, order = parse_feature(key)
-    if kind == "edges":
-        return expected_edges(measure, n)
-    if kind == "star":
-        return expected_d_stars(measure, n, order)
-    return expected_t_cliques(measure, n, order)
-
-
 def expected_feature_vector(
     measure: GeneratingMeasure, n: int, features: Sequence[str] = DEFAULT_FEATURES
 ) -> FeatureVector:
-    """Evaluate several expectations at once; entries match the
-    single-feature operations exactly (they are the same calls)."""
-    return FeatureVector({key: _expected_feature(measure, n, key) for key in features})
+    """Evaluate several expectations at once; each entry equals the
+    single-feature operation's value exactly, since a feature's survival
+    and placements do not depend on the other features asked for."""
+    keys = list(features)
+    values = _expected(measure, n, [parse_feature(key) for key in keys])
+    return FeatureVector(dict(zip(keys, values.tolist())))

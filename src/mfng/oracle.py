@@ -71,6 +71,14 @@ def exact_subgraph_probability(
             f"pattern spans {t} nodes; enumeration is capped at {MAX_PATTERN_NODES}")
     if t == 0:
         return 1.0
+    return _pattern_survival(measure, pairs, t) ** measure.k
+
+
+def _pattern_survival(measure: GeneratingMeasure, pairs: Sequence[tuple[int, int]],
+                      t: int) -> float:
+    """One level's probability that every pair of the pattern on t labelled
+    nodes is present: a plain-Python sum over all m**t category tuples of
+    the tuple's mass times the link probability of each pair."""
     lengths = measure.lengths.tolist()
     probs = measure.probs.tolist()
     per_level = 0.0
@@ -81,7 +89,19 @@ def exact_subgraph_probability(
         for a, b in pairs:
             w *= probs[combo[a]][combo[b]]
         per_level += w
-    return per_level ** measure.k
+    return per_level
+
+
+def star_survival_by_enumeration(measure: GeneratingMeasure, d: int) -> float:
+    """Per-level survival of a d-star, by enumerating its m**(d+1) category
+    tuples; no node cap, so keep m**(d+1) small."""
+    return _pattern_survival(measure, _star_pattern(d), d + 1)
+
+
+def clique_survival_by_enumeration(measure: GeneratingMeasure, t: int) -> float:
+    """Per-level survival of a t-clique, by enumerating its m**t category
+    tuples; no node cap, so keep m**t small."""
+    return _pattern_survival(measure, _clique_pattern(t), t)
 
 
 def _star_pattern(d: int) -> list[tuple[int, int]]:

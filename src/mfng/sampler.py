@@ -39,8 +39,8 @@ from .errors import (
     UnsupportedMError,
 )
 from .features import Graph, _search_sorted
-from .measure import (EdgeMoments, GeneratingMeasure, _check_lengths, _check_probs,
-                      _edge_moments_from_logs, _pair_survival, _star_survival)
+from .measure import (_EDGE_AND_WEDGE, EdgeMoments, GeneratingMeasure, _check_lengths,
+                      _check_probs, _edge_moments_from_levels, _level_bases)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -194,19 +194,15 @@ def _target_edge_moments(
 ) -> EdgeMoments:
     """Edge-count moments with per-level survival factors.
 
-    The same closed forms as :func:`edge_moments`, with k * log s and the
-    wedge term replaced by sums of per-level logs.
+    The same closed forms as :func:`edge_moments`, with the level matrices
+    stacked as lanes and their logs summed.
     """
-    log_s = 0.0
-    log_wedge = 0.0
-    for probs in matrices:
-        s_i = _pair_survival(probs, lengths)
-        if s_i <= 0.0:
-            raise AllZeroMeasureError("a level has zero edge mass; nothing to sample")
-        log_s += math.log(s_i)
-        w_i = _star_survival(probs, lengths, 2)
-        log_wedge += math.log(w_i) if w_i > 0.0 else -math.inf
-    return _edge_moments_from_logs(n, log_s, log_wedge)
+    levels = len(matrices)
+    bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
+                         _EDGE_AND_WEDGE)
+    if np.any(bases[:, 0] <= 0.0):
+        raise AllZeroMeasureError("a level has zero edge mass; nothing to sample")
+    return _edge_moments_from_levels(n, bases, 1)
 
 
 def fast_sample(

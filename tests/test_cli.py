@@ -317,16 +317,16 @@ CANONICAL_ROWS = {
         "C3       1419\n"),
     "moments": (
         "feature   expected\n"
-        "edges     1174.6676732684227\n"
+        "edges     1174.6676732684236\n"
         "S2        24964.406594697852\n"
-        "C2        1174.6676732684227\n"
+        "C2        1174.6676732684236\n"
         "C3        1716.2403971988485\n"
-        "edge_std  72.814363904124974\n"),
+        "edge_std  72.814363904124733\n"),
     "compare": (
         "feature  actual  expected            ratio\n"
-        "edges    1081    1174.6676732684227  1.0866490964555251\n"
+        "edges    1081    1174.6676732684236  1.086649096455526\n"
         "S2       21243   24964.406594697852  1.17518272347116\n"
-        "C2       1081    1174.6676732684227  1.0866490964555251\n"
+        "C2       1081    1174.6676732684236  1.086649096455526\n"
         "C3       1419    1716.2403971988485  1.2094717386884064\n"),
 }
 
@@ -481,6 +481,14 @@ def test_runtime_error_stalled_sampler(capsys, tmp_path):
                        "--seed", "13", "--out", str(tmp_path / "g.tsv"))
     assert code == EXIT_RUNTIME
     assert "consecutive" in err
+
+
+def test_runtime_error_overflowing_expectation_names_the_feature(capsys, block_file):
+    code, out, err = run(capsys, "moments", "--measure", block_file,
+                         "--features", "edges,S200", "--nodes", "1000000")
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    assert err == "error: expected S200 count on n=1000000 nodes overflows a float\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from mfng.fit import (
     random_init,
 )
 from mfng.measure import max_depth
+from mfng.oracle import clique_survival_by_enumeration, star_survival_by_enumeration
 
 # mfng.fit the attribute is the fit function; the module is needed here
 fit_module = importlib.import_module("mfng.fit")
@@ -223,6 +224,28 @@ def random_points(m, count, rng):
     return points
 
 
+def enumerated_objective(measure, n, target):
+    """The objective as a scalar sum over the target's keys, each
+    expectation a placement count times the oracle's enumerated per-level
+    survival to the k-th power, in log space; +inf past a float."""
+    total = 0.0
+    for key, observed in target.items():
+        kind, order = mfng.parse_feature(key)
+        if kind == "star":
+            log_count = math.log(n * math.comb(n - 1, order))
+            base = star_survival_by_enumeration(measure, order)
+        else:
+            t = 2 if kind == "edges" else order
+            log_count = math.log(math.comb(n, t))
+            base = clique_survival_by_enumeration(measure, t)
+        try:
+            expected = math.exp(log_count + measure.k * math.log(base)) if base > 0 else 0.0
+        except OverflowError:
+            return math.inf
+        total += abs(observed - expected) / observed
+    return total
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n, features", [
     (300, ("edges", "S2", "S3", "S4", "C3", "C4")),
@@ -238,7 +261,7 @@ def test_batched_objective_matches_the_scalar_objective(m, n, features):
     points = random_points(m, 80, rng)
     lanes = rng.integers(0, depths.size, size=points.shape[0])
     batched = _lane_objective(target, n, m, depths)(points, lanes)
-    scalar = np.array([objective(_measure_at(x, m, int(depths[lane])), n, target)
+    scalar = np.array([enumerated_objective(_measure_at(x, m, int(depths[lane])), n, target)
                        for x, lane in zip(points, lanes)])
     assert not np.any(np.isnan(batched))
     assert np.array_equal(np.isinf(batched), np.isinf(scalar))
@@ -286,11 +309,16 @@ def test_depth_capped_by_encoding():
         FitConfig(m=2, k=63).depth_candidates(100)
 
 
-@pytest.mark.parametrize("settings", [{"restarts": 0}, {"seed": -3}])
-def test_fit_rejects_bad_restarts_and_seed(block_measure_k4, settings):
-    target = exact_target(block_measure_k4, 100)
+# Each field is checked when the config is built: m an integer >= 1 (not a
+# bool), k None or an integer in [1, max_depth(m)], restarts an integer
+# >= 1 and seed an integer >= 0.
+@pytest.mark.parametrize("settings", [
+    {"restarts": 0}, {"seed": -3}, {"restarts": 2.5}, {"seed": 1.5}, {"m": 2.0},
+    {"m": True}, {"m": 0}, {"k": 2.0}, {"k": 0}, {"k": 63}, {"restarts": True},
+])
+def test_fit_rejects_bad_restarts_and_seed(settings):
     with pytest.raises(DomainError):
-        mfng.fit(target, 100, FitConfig(m=2, k=4, **settings))
+        FitConfig(**{"m": 2, "k": 4, **settings})
 
 
 def test_fit_deterministic(block_measure_k4):
@@ -339,9 +367,20 @@ def test_fit_reports_the_depth_sweep(block_measure_k4):
     result = mfng.fit(target, n, cfg)
     assert set(result.best_by_depth) == set(cfg.depth_candidates(n))
     assert result.k in result.best_by_depth
-    assert math.isclose(
-        result.best_by_depth[result.k], result.objective, rel_tol=1e-12)
+    assert result.best_by_depth[result.k] == result.objective
     assert result.objective == min(result.best_by_depth.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_objective_is_the_winning_lanes_value(block_measure_k4, seed):
+    n = 150
+    target = exact_target(block_measure_k4, n, features=("edges", "S2", "C3"))
+    result = mfng.fit(target, n, FitConfig(m=2, k=4, restarts=3, seed=seed))
+    assert result.objective == result.best_by_depth[result.k] \
+        == min(row.objective for row in result.trace)
+    # the winner's measure has renormalised lengths, so its own objective
+    # may differ from the lane's in the last digits
+    assert abs(result.objective - objective(result.measure, n, target)) <= 1e-12
 
 
 def test_fit_trace_holds_every_lane(block_measure_k4):

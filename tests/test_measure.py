@@ -18,7 +18,11 @@ from mfng import (
     ProbabilityRangeError,
 )
 from mfng.measure import max_depth
-from mfng.oracle import exact_degree_counts
+from mfng.oracle import (
+    clique_survival_by_enumeration,
+    exact_degree_counts,
+    star_survival_by_enumeration,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +210,13 @@ def test_expected_edges_rejects_bad_n(block_measure):
 # stars
 # ---------------------------------------------------------------------------
 
-def _star_survival_by_enumeration(meas, d):
-    """Direct sum over (d+1)-tuples of categories, one recursion level."""
-    m = meas.m
-    total = 0.0
-    for tup in itertools.product(range(m), repeat=d + 1):
-        c = tup[0]
-        w = meas.lengths[c]
-        for leaf in tup[1:]:
-            w *= meas.lengths[leaf] * meas.probs[c, leaf]
-        total += w
-    return total
-
-
 def test_expected_stars_match_tuple_enumeration(random_measure):
     rng = np.random.default_rng(99)
     for _ in range(25):
         meas = random_measure(rng)
         n = int(rng.integers(4, 50))
         for d in (1, 2, 3):
-            want = n * math.comb(n - 1, d) * _star_survival_by_enumeration(meas, d) ** meas.k
+            want = n * math.comb(n - 1, d) * star_survival_by_enumeration(meas, d) ** meas.k
             got = mfng.expected_d_stars(meas, n, d)
             assert math.isclose(got, want, rel_tol=1e-12), (meas.m, meas.k, n, d)
 
@@ -250,26 +241,13 @@ def test_stars_reject_bad_orders(block_measure):
 # cliques
 # ---------------------------------------------------------------------------
 
-def _clique_survival_by_enumeration(meas, t):
-    m = meas.m
-    total = 0.0
-    for tup in itertools.product(range(m), repeat=t):
-        w = 1.0
-        for c in tup:
-            w *= meas.lengths[c]
-        for a, b in itertools.combinations(tup, 2):
-            w *= meas.probs[a, b]
-        total += w
-    return total
-
-
 def test_expected_cliques_match_tuple_enumeration(random_measure):
     rng = np.random.default_rng(77)
     for _ in range(25):
         meas = random_measure(rng)
         n = int(rng.integers(6, 40))
         for t in (2, 3, 4, 5):
-            want = math.comb(n, t) * _clique_survival_by_enumeration(meas, t) ** meas.k
+            want = math.comb(n, t) * clique_survival_by_enumeration(meas, t) ** meas.k
             got = mfng.expected_t_cliques(meas, n, t)
             assert math.isclose(got, want, rel_tol=1e-12), (meas.m, meas.k, n, t)
 
@@ -327,7 +305,7 @@ def test_edge_variance_by_direct_pair_sum(random_measure):
         meas = random_measure(rng, max_m=2, max_k=2)
         n = int(rng.integers(3, 7))
         s = mfng.edge_survival_factor(meas) ** meas.k
-        w = _star_survival_by_enumeration(meas, 2) ** meas.k
+        w = star_survival_by_enumeration(meas, 2) ** meas.k
         pairs = list(itertools.combinations(range(n), 2))
         second = 0.0
         for e, f in itertools.product(pairs, repeat=2):

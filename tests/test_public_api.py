@@ -2,7 +2,10 @@
 build on, plus the error classes; test-only helpers stay in their modules.
 """
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mfng
 from mfng import errors
@@ -34,3 +37,22 @@ def test_public_names_are_the_documented_surface():
     public = sorted(name for name in dir(mfng) if not name.startswith("_")
                     and not isinstance(getattr(mfng, name), types.ModuleType))
     assert public == sorted(LIBRARY_SURFACE | error_classes)
+
+
+# Installs perfbench/launch.py's tracer, which rebinds package functions and
+# methods by name, in a fresh interpreter that imports mfng from src/.
+_TRACER_PROBE = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import launch
+launch.install(launch.Tracer("probe"))
+print("installed")
+"""
+
+
+def test_the_benchmark_tracer_finds_every_name_it_rebinds():
+    root = Path(__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "installed\n", "")
