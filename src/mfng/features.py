@@ -54,12 +54,12 @@ class Graph:
 
         Self-loops are dropped and duplicates (in either orientation) are
         collapsed.  Node ids must already lie in [0, n); isolated nodes are
-        preserved.
+        preserved.  Ids that are not integers, or rows that are not pairs,
+        raise ``DomainError``.
         """
-        arr = np.asarray(pairs, dtype=np.int64)
+        arr = _id_pairs(pairs)
         if arr.size == 0:
             return cls.empty(n)
-        arr = arr.reshape(-1, 2)
         if arr.min() < 0 or arr.max() >= n:
             raise DomainError("edge endpoints must lie in [0, n)")
         arr = arr[arr[:, 0] != arr[:, 1]]
@@ -133,19 +133,60 @@ def _search_sorted(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.
     return pos, keys[pos] == query
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _id_pairs(pairs) -> np.ndarray:
+    """pairs as an (E, 2) int64 array, without a copy when they already
+    are one.  Anything but rows of two integer ids within int64 raises
+    ``DomainError``: floats, which a cast would truncate, and unsigned ids
+    above the int64 range, which it would wrap.  Only an unsigned 64-bit
+    array pays an extra pass for that check."""
+    try:
+        arr = np.asarray(pairs)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or ints numpy cannot hold
+        raise DomainError(f"node ids must be (u, v) rows of integers ({exc})") from None
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError(f"node ids must be (u, v) rows, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" or (
+            arr.dtype == np.uint64 and arr.max() > _INT64_MAX):
+        raise DomainError(
+            f"node ids must be integers within the int64 range, got {arr.dtype} ids")
+    return arr.astype(np.int64, copy=False)
+
+
 def from_edge_list(pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from raw id pairs as they come out of an edge-list file.
 
     Node ids are remapped to a dense [0, n) range in sorted order of the
     original ids; every id that appears anywhere (including only in
     self-loops) counts as a node.  Self-loops and duplicate edges are then
-    discarded.  An empty input gives the empty graph.
+    discarded.  An empty input gives the empty graph.  Ids that are not
+    integers within int64 (floats included), or rows that are not pairs,
+    raise ``DomainError``.
+
+    When the span of the ids (largest minus smallest, plus one) is at most
+    the number of id entries, 2E, each id's new label is a running count
+    over a presence bitmap of the span, with no sort.  The bitmap and the
+    int64 counts take 9 bytes per id of the span, so the span rule keeps
+    them within 18E bytes, next to the 16E bytes of the int64 input.
+    Wider spans take ``np.unique``, which sorts.
     """
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = _id_pairs(pairs)
     if arr.size == 0:
         return Graph.empty(0)
+    lo, hi = int(arr.min()), int(arr.max())  # Python ints: hi - lo overflows int64
+    if hi - lo < arr.size:
+        offsets = arr - lo if lo else arr
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[offsets] = True
+        labels = np.cumsum(present, dtype=np.int64)
+        labels -= 1  # each present id's rank among the present ids
+        return Graph.from_pairs(int(labels[-1]) + 1, labels[offsets])
     ids, inverse = np.unique(arr, return_inverse=True)
     # The inverse's shape for a 2-D input differs across numpy versions.
     return Graph.from_pairs(int(ids.size), inverse.reshape(-1, 2))

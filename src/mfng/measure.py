@@ -253,8 +253,9 @@ def _check_depth(k, m: int) -> int:
 # per-level survival factors
 # ---------------------------------------------------------------------------
 
-# The pair and the wedge (2-star) survivals behind the edge variance.
-_EDGE_AND_WEDGE = (("edges", 0), ("star", 2))
+# The per-level bases of the edge moments: the pair survival and the wedge
+# excess (see _level_bases).
+_EDGE_MOMENT_BASES = (("edges", 0), ("wedge_excess", 2))
 
 
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
@@ -270,7 +271,10 @@ def _level_bases(probs: np.ndarray, lengths: np.ndarray,
     ``probs`` is (L, m, m) and ``lengths`` (L, m); the result is
     (L, len(features)).  A d-star survives with sum_i l_i (P l)_i ** d:
     given the center's category i, each leaf links to it independently with
-    probability (P l)_i.  An edge is the 1-star and the 2-clique.  A t-clique
+    probability (P l)_i.  An edge is the 1-star and the 2-clique.  The
+    private kind ``("wedge_excess", 2)`` is the wedge survival less the
+    squared pair survival s, summed from squares as
+    sum_i l_i ((P l)_i - s) ** 2 so that it does not cancel.  A t-clique
     survives with the sum over category tuples of the tuple's mass times
     every pairwise link probability: one einsum over t length vectors and
     C(t, 2) copies of the matrix, so no m**t grid is materialized.  Each
@@ -283,6 +287,12 @@ def _level_bases(probs: np.ndarray, lengths: np.ndarray,
         if kind == "clique" and order > 2:
             columns.append(np.einsum(_clique_spec(order), *[lengths] * order,
                                      *[probs] * math.comb(order, 2)))
+        elif kind == "wedge_excess":
+            pair = (lengths * row).sum(axis=1)
+            # s**2 * (1 - sum l) is zero but for the rounding of the lengths;
+            # with it the sum is w - s**2 exactly, however close w is to s**2
+            gap = np.array([math.fsum([1.0, *(-lane).tolist()]) for lane in lengths])
+            columns.append((lengths * (row - pair[:, None]) ** 2).sum(axis=1) + pair ** 2 * gap)
         else:
             d = order if kind == "star" else 1  # an edge is a 2-clique is a 1-star
             columns.append((lengths * row ** d).sum(axis=1))
@@ -391,30 +401,33 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
 
 
 def _edge_moments_from_levels(n: int, bases: np.ndarray, depth: int) -> EdgeMoments:
-    """Edge-count moments from (L, 2) per-level pair and wedge survivals,
-    each level taken ``depth`` times: their logs are summed over levels.
+    """Edge-count moments from (L, 2) per-level pair survivals s_r and wedge
+    excesses d_r = w_r - s_r**2 (w_r the wedge survival), each level taken
+    ``depth`` times: their logs are summed over levels.
 
-    The variance is mean*(1-mean) + 2*E[S_2] + C(n,2)*C(n-2,2)*s**(2k); the
-    wedge and disjoint-pair terms vanish on their own below n = 3 and n = 4
-    because the binomials are zero.  To dodge the catastrophic cancellation
-    between -mean**2 and the disjoint-pair term, the two are combined
-    analytically: C(n,2)*(C(n-2,2) - C(n,2)) = C(n,2)*(3 - 2n).  A pair that
-    cannot survive has log survival -inf, which gives moments (0, 0, 0).
+    With S = prod s_r and W = prod w_r, a pair covaries with itself and with
+    the n(n-1)(n-2) ordered pairs that share one node with it, so the
+    variance is C(n,2) * S * (1 - S) + n(n-1)(n-2) * (W - S**2).  Neither
+    term is formed as a difference: 1 - S = -expm1(log S), and
+    W - S**2 = S**2 * expm1(sum_r log1p(d_r / s_r**2)) with d_r summed from
+    squares.  A pair that cannot survive (S = 0) gives moments (0, 0, 0).
     """
-    log_s, log_wedge = _log_expected(0.0, depth, bases).sum(axis=0)
+    pair, excess = bases[:, 0], bases[:, 1]
+    if not np.all(pair > 0.0):
+        return EdgeMoments(mean=0.0, variance=0.0, std=0.0)
+    log_s = float(_log_expected(0.0, depth, pair).sum())
+    log_spread = depth * float(np.log1p(excess / pair / pair).sum())
+    shared = 0.0
     try:
         mean = math.exp(_log_comb(n, 2) + log_s)
-        wedges = math.exp(math.log(n) + _log_comb(n - 1, 2) + log_wedge) if n >= 3 else 0.0
-        cross = (3 - 2 * n) * math.exp(_log_comb(n, 2) + 2 * log_s)
+        if n >= 3 and log_spread > 0.0:
+            # log expm1(x) as x + log(-expm1(-x)), finite where expm1(x) is not
+            shared = math.exp(math.log(n * (n - 1) * (n - 2)) + 2.0 * log_s + log_spread
+                              + math.log(-math.expm1(-log_spread)))
     except OverflowError:
         raise OverflowError(f"edge-count moments on n={n} nodes overflow a float") from None
-    variance = mean + 2.0 * wedges + cross
-    if variance < 0.0:
-        if abs(variance) <= 1e-9 * mean * mean:
-            variance = 0.0
-        else:
-            raise ArithmeticError(
-                f"edge variance came out negative ({variance!r}) beyond rounding noise")
+    # log S above zero is rounding in the bases: S is a probability
+    variance = mean * -math.expm1(min(log_s, 0.0)) + shared
     return EdgeMoments(mean=mean, variance=variance, std=math.sqrt(variance))
 
 
@@ -422,7 +435,7 @@ def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
     """Edge-count mean and variance (see :func:`_edge_moments_from_levels`)."""
     if n < 2:
         raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    return _edge_moments_from_levels(n, _measure_bases(measure, _EDGE_AND_WEDGE)[None],
+    return _edge_moments_from_levels(n, _measure_bases(measure, _EDGE_MOMENT_BASES)[None],
                                      measure.k)
 
 

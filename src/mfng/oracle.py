@@ -75,15 +75,16 @@ def exact_subgraph_probability(
 
 
 def _pattern_survival(measure: GeneratingMeasure, pairs: Sequence[tuple[int, int]],
-                      t: int) -> float:
+                      t: int, number=float):
     """One level's probability that every pair of the pattern on t labelled
     nodes is present: a plain-Python sum over all m**t category tuples of
-    the tuple's mass times the link probability of each pair."""
-    lengths = measure.lengths.tolist()
-    probs = measure.probs.tolist()
-    per_level = 0.0
+    the tuple's mass times the link probability of each pair, in ``number``
+    arithmetic (``Fraction`` makes it exact)."""
+    lengths = [number(x) for x in measure.lengths.tolist()]
+    probs = [[number(x) for x in row] for row in measure.probs.tolist()]
+    per_level = number(0)
     for combo in itertools.product(range(measure.m), repeat=t):
-        w = 1.0
+        w = number(1)
         for c in combo:
             w *= lengths[c]
         for a, b in pairs:
@@ -102,6 +103,18 @@ def clique_survival_by_enumeration(measure: GeneratingMeasure, t: int) -> float:
     """Per-level survival of a t-clique, by enumerating its m**t category
     tuples; no node cap, so keep m**t small."""
     return _pattern_survival(measure, _clique_pattern(t), t)
+
+
+def exact_edge_variance(measure: GeneratingMeasure, n: int) -> Fraction:
+    """Edge-count variance in exact rationals of the measure's float
+    parameters.  Each of the C(n,2) node pairs covaries with itself,
+    S - S**2, and with each of the n(n-1)(n-2) ordered pairs that share one
+    node with it, W - S**2; disjoint pairs are independent.  S and W are
+    the pair and wedge probabilities, enumerated over category tuples."""
+    pair = _pattern_survival(measure, [(0, 1)], 2, Fraction) ** measure.k
+    wedge = _pattern_survival(measure, _star_pattern(2), 3, Fraction) ** measure.k
+    return (math.comb(n, 2) * (pair - pair * pair)
+            + n * (n - 1) * (n - 2) * (wedge - pair * pair))
 
 
 def _star_pattern(d: int) -> list[tuple[int, int]]:

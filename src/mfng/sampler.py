@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedMError,
 )
 from .features import Graph, _search_sorted
-from .measure import (_EDGE_AND_WEDGE, EdgeMoments, GeneratingMeasure, _check_lengths,
+from .measure import (_EDGE_MOMENT_BASES, EdgeMoments, GeneratingMeasure, _check_lengths,
                       _check_probs, _edge_moments_from_levels, _level_bases)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
@@ -199,7 +199,7 @@ def _target_edge_moments(
     """
     levels = len(matrices)
     bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
-                         _EDGE_AND_WEDGE)
+                         _EDGE_MOMENT_BASES)
     if np.any(bases[:, 0] <= 0.0):
         raise AllZeroMeasureError("a level has zero edge mass; nothing to sample")
     return _edge_moments_from_levels(n, bases, 1)

@@ -146,14 +146,23 @@ def test_fast_edge_list_parse_matches_the_line_parser(tmp_path, text, want):
         assert pairs.tolist() == want, parser.__name__
 
 
-def test_plain_edge_list_takes_the_array_parse(tmp_path, monkeypatch):
-    def line_parser(path):
-        raise AssertionError("fell back to the line parser")
+def no_line_parse(path):
+    raise AssertionError("fell back to the line parser")
 
-    monkeypatch.setattr(mfng.cli, "_read_edge_lines", line_parser)
+
+def test_plain_edge_list_takes_the_array_parse(tmp_path, monkeypatch):
+    monkeypatch.setattr(mfng.cli, "_read_edge_lines", no_line_parse)
     path = tmp_path / "g.tsv"
     path.write_bytes(b"# mfng sample\n# nodes: 4\n0\t1\r\n\n1\t3\n# end\n")
     assert read_edge_list(str(path)).tolist() == [[0, 1], [1, 3]]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_under_a_compressed_name_is_read_as_text(tmp_path, suffix):
+    # np.loadtxt would try to decompress these names and fail
+    path = tmp_path / f"g{suffix}"
+    path.write_bytes(b"# nodes: 3\n0\t1\n1\t2\n")
+    assert read_edge_list(str(path)).tolist() == [[0, 1], [1, 2]]
 
 
 def test_edge_list_parser_reports_the_bad_line(tmp_path):
@@ -182,6 +191,13 @@ def test_written_edges_are_sorted_and_canonical(tmp_path):
     assert all(u < v for u, v in data)
 
 
+def per_line_bytes(header_lines, graph):
+    """The edge-list bytes written one formatted line at a time."""
+    lines = [f"# {line}\n" for line in header_lines]
+    lines += [f"{u}\t{v}\n" for u, v in graph.edge_array().tolist()]
+    return "".join(lines).encode("utf-8")
+
+
 def test_edge_list_write_matches_per_line_format_across_slices(tmp_path, monkeypatch):
     monkeypatch.setattr(mfng.cli, "_WRITE_SLICE", 3)
     g = mfng.Graph.from_pairs(12, [(0, 11), (3, 1), (2, 9), (5, 4), (7, 10),
@@ -189,8 +205,47 @@ def test_edge_list_write_matches_per_line_format_across_slices(tmp_path, monkeyp
     assert g.edge_count > 3 and g.edge_count % 3 != 0
     path = tmp_path / "out.tsv"
     write_edge_list(g, str(path), ["a", "b"])
-    want = "# a\n# b\n" + "".join(f"{u}\t{v}\n" for u, v in g.edge_array().tolist())
-    assert path.read_bytes() == want.encode()
+    assert path.read_bytes() == per_line_bytes(["a", "b"], g)
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 100_001])
+def test_edge_list_write_matches_per_line_format_at_digit_widths(tmp_path, n):
+    # Ids one digit shorter and longer than their neighbours, and n - 1,
+    # whose width every id is padded to before the zeros are masked out.
+    ids = sorted({i for i in (0, 9, 10, n - 1) if i < n})
+    g = mfng.Graph.from_pairs(n, [(u, v) for u in ids for v in ids if u < v])
+    path = tmp_path / "out.tsv"
+    write_edge_list(g, str(path), ["w"])
+    assert path.read_bytes() == per_line_bytes(["w"], g)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_graph_without_edges_writes_only_its_header(tmp_path, n):
+    path = tmp_path / "out.tsv"
+    write_edge_list(mfng.Graph.empty(n), str(path), ["mfng sample", f"nodes: {n}"])
+    assert path.read_bytes() == f"# mfng sample\n# nodes: {n}\n".encode()
+
+
+def test_non_ascii_header_is_written_as_utf8(tmp_path, monkeypatch):
+    g = mfng.Graph.from_pairs(3, [(0, 1), (1, 2)])
+    header = ["measure: mesure-é.json", "ノード"]
+    path = tmp_path / "out.tsv"
+    write_edge_list(g, str(path), header)
+    assert path.read_bytes() == per_line_bytes(header, g)
+    monkeypatch.setattr(mfng.cli, "_read_edge_lines", no_line_parse)
+    assert read_edge_list(str(path)).tolist() == [[0, 1], [1, 2]]
+
+
+def test_write_then_read_gives_back_the_graph(tmp_path):
+    # A path through every node keeps them all, so relabelling is the identity.
+    rng = np.random.default_rng(8)
+    n = 5000
+    pairs = np.concatenate([rng.integers(0, n, size=(20_000, 2)),
+                            np.column_stack([np.arange(n - 1), np.arange(1, n)])])
+    g = mfng.Graph.from_pairs(n, pairs)
+    path = tmp_path / "out.tsv"
+    write_edge_list(g, str(path), ["round trip"])
+    assert mfng.from_edge_list(read_edge_list(str(path))) == g
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +376,7 @@ CANONICAL_ROWS = {
         "S2        24964.406594697852\n"
         "C2        1174.6676732684236\n"
         "C3        1716.2403971988485\n"
-        "edge_std  72.814363904124733\n"),
+        "edge_std  72.814363904124875\n"),
     "compare": (
         "feature  actual  expected            ratio\n"
         "edges    1081    1174.6676732684236  1.086649096455526\n"

@@ -40,6 +40,81 @@ def test_from_edge_list_empty():
     assert g.n == 0 and g.edge_count == 0
 
 
+def unique_relabel(pairs):
+    """The sorting relabel: each id's rank among the distinct ids."""
+    ids, inverse = np.unique(pairs, return_inverse=True)
+    return Graph.from_pairs(ids.size, inverse.reshape(-1, 2))
+
+
+I64 = np.iinfo(np.int64)
+
+# pairs -> whether their id span is at most the 2E id entries (the bitmap
+# relabel) or beyond it (np.unique)
+RELABEL_CASES = {
+    "negative ids": ([(-5, -3), (-3, 0), (-1, -5)], True),
+    "int64 extremes": ([(I64.min, I64.max), (I64.max, 0)], False),
+    "span equal to 2E": ([(0, 3), (1, 3)], True),
+    "span just above 2E": ([(0, 4), (1, 4)], False),
+    "ids only in self-loops": ([(7, 7), (3, 5), (2, 2)], True),
+    "duplicate edges": ([(1, 2), (2, 1), (1, 2), (2, 3)], True),
+}
+
+
+@pytest.mark.parametrize("pairs, bitmap", RELABEL_CASES.values(), ids=RELABEL_CASES.keys())
+def test_bitmap_relabel_equals_the_sorting_relabel(monkeypatch, pairs, bitmap):
+    want = unique_relabel(np.array(pairs, dtype=np.int64))
+    span = max(max(p) for p in pairs) - min(min(p) for p in pairs) + 1
+    assert (span <= 2 * len(pairs)) == bitmap
+    calls = []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert mfng.from_edge_list(np.array(pairs, dtype=np.int64)) == want
+    assert mfng.from_edge_list(pairs) == want
+    assert len(calls) == (0 if bitmap else 2)
+
+
+def test_from_edge_list_rejects_float_ids():
+    with pytest.raises(DomainError):
+        mfng.from_edge_list([(0.5, 1.7), (2.2, 3.9)])
+
+
+def test_from_pairs_rejects_float_ids():
+    with pytest.raises(DomainError):
+        Graph.from_pairs(3, [(0.9, 2.1)])
+
+
+def test_unsigned_ids_beyond_int64_are_rejected_not_wrapped():
+    big = np.array([[0, 2 ** 63], [1, 2]], dtype=np.uint64)
+    for build in (mfng.from_edge_list, lambda p: Graph.from_pairs(4, p)):
+        with pytest.raises(DomainError):
+            build(big)
+    small = np.array([[0, 2], [1, 2]], dtype=np.uint64)
+    assert mfng.from_edge_list(small) == mfng.from_edge_list([(0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 63 - 1])
+def test_python_ints_beyond_int64_are_rejected(big):
+    with pytest.raises(DomainError):
+        mfng.from_edge_list([(0, 1), (1, big)])
+
+
+@pytest.mark.parametrize("rows", [[(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [(0, 1), (2,)], [0, 1]])
+def test_rows_that_are_not_pairs_are_rejected(rows):
+    for build in (mfng.from_edge_list, lambda p: Graph.from_pairs(6, p)):
+        with pytest.raises(DomainError):
+            build(rows)
+
+
+def test_int64_pairs_are_taken_without_a_copy():
+    pairs = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    assert mfng.features._id_pairs(pairs) is pairs
+
+
 def test_from_pairs_keeps_isolated_nodes():
     g = Graph.from_pairs(5, np.array([[0, 1]]))
     assert g.n == 5

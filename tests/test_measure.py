@@ -21,6 +21,7 @@ from mfng.measure import max_depth
 from mfng.oracle import (
     clique_survival_by_enumeration,
     exact_degree_counts,
+    exact_edge_variance,
     star_survival_by_enumeration,
 )
 
@@ -326,6 +327,41 @@ def test_edge_variance_n2_is_bernoulli(block_measure_k4):
     q = mfng.edge_survival_factor(block_measure_k4) ** 4
     got = mfng.edge_moments(block_measure_k4, 2)
     assert math.isclose(got.variance, q * (1 - q), rel_tol=1e-12)
+
+
+def test_edge_variance_matches_exact_rationals():
+    # Measures whose rows of P l nearly agree make the wedge and squared pair
+    # survivals nearly equal; a variance formed as their difference lost up
+    # to 3.7e-7 of itself here.  Every seventh measure has a zero row.
+    rng = np.random.default_rng(1402)
+    worst = 0.0
+    for i in range(200):
+        m = int(rng.integers(1, 5))
+        probs = rng.uniform(0.0, 1.0, size=(m, m))
+        probs = (probs + probs.T) / 2.0
+        if i % 7 == 0:
+            probs[0, :] = probs[:, 0] = 0.0
+        meas = mfng.make_measure(rng.dirichlet(2.0 * np.ones(m)), probs,
+                                 k=int(rng.integers(1, 15)))
+        n = int(10.0 ** rng.uniform(math.log10(2), 7))
+        want = exact_edge_variance(meas, n)
+        got = mfng.edge_moments(meas, n).variance
+        if want == 0:
+            assert got == 0.0, (i, n)
+            continue
+        worst = max(worst, float(abs(Fraction(got) - want) / want))
+    assert worst <= 1e-12
+
+
+def test_edge_std_of_the_cli_golden_is_within_one_ulp_of_exact(block_measure_k4):
+    # tests/test_cli.py prints this std at n = 120; its exact value rounds to
+    # 72.814363904124889.  The rounding of the float pair survival (one ulp
+    # above its exact value) and of the log-space steps leaves the closed
+    # form one ulp below, at 72.814363904124875.
+    want = math.sqrt(exact_edge_variance(block_measure_k4, 120))
+    got = mfng.edge_moments(block_measure_k4, 120).std
+    assert format(want, ".17g") == "72.814363904124889"
+    assert abs(got - want) <= math.ulp(want)
 
 
 def test_edge_variance_nonnegative_on_random_measures(random_measure):
