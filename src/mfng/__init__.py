@@ -5,7 +5,6 @@ fits against observed graphs, and exact plus fast approximate samplers.
 """
 
 from .errors import (
-    AllZeroMeasureError,
     CliqueSizeError,
     DegenerateDiagonalError,
     DepthOverflowError,

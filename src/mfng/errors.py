@@ -50,10 +50,6 @@ class GraphTooLargeError(TooLargeError):
     """The graph is too large for an exhaustive reference computation."""
 
 
-class AllZeroMeasureError(MfngError):
-    """Every link probability is zero; there is nothing to sample."""
-
-
 class StalledError(MfngError, RuntimeError):
     """The fast sampler stopped making progress before hitting its target.
 

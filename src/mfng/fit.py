@@ -36,6 +36,7 @@ from .errors import DomainError, ZeroTargetFeatureError
 from .measure import (
     FeatureVector,
     GeneratingMeasure,
+    _check_integer,
     _level_bases,
     _log_expected,
     _log_placements,
@@ -231,13 +232,6 @@ class FitConfig:
         if not ks:
             ks = [min(cap, max(1, center))]
         return tuple(ks)
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    """Raise DomainError unless value is an integer (not a bool) >= low."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < low):
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class LaneRecord(NamedTuple):

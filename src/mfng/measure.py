@@ -239,10 +239,16 @@ def _check_probs(probs, m: int) -> np.ndarray:
     return probs
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise DomainError unless value is an integer (not a bool) >= low."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_depth(k, m: int) -> int:
     """k as an int, checked to be an integer in [1, max_depth(m)]."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"recursion depth k must be a positive integer, got {k!r}")
+    _check_integer("recursion depth k", k, 1)
     if k > max_depth(m):
         raise DepthOverflowError(
             f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")

@@ -31,13 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroMeasureError,
-    DegenerateDiagonalError,
-    DomainError,
-    StalledError,
-    UnsupportedMError,
-)
+from .errors import DegenerateDiagonalError, DomainError, StalledError, UnsupportedMError
 from .features import Graph, _search_sorted
 from .measure import (_EDGE_MOMENT_BASES, EdgeMoments, GeneratingMeasure, _check_lengths,
                       _check_probs, _edge_moments_from_levels, _level_bases)
@@ -49,9 +43,10 @@ _POISSON_RATE_CAP = 1e12
 # A box stops drawing candidate pairs after this many draws.
 _MAX_ATTEMPTS_PER_BOX = 50
 
-# The fast sampler gives up once this many boxes in a row placed nothing
-# (empty box, zero Poisson draw, or every draw a self-pair or an existing
-# edge): the measure is too dense or too degenerate for the heuristic.
+# The fast sampler gives up once this many boxes in a row, times the
+# accuracy where that is above one, placed nothing (empty box, zero Poisson
+# draw, or every draw a self-pair or an existing edge): the measure is too
+# dense or too degenerate for the heuristic.
 _MAX_CONSECUTIVE_REJECTS = 10_000
 
 # Boxes drawn per round: about the remaining edge count times the accuracy,
@@ -86,18 +81,15 @@ class CategoryIndex:
 
     def __init__(self, codes: np.ndarray):
         order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        unique, starts, counts = np.unique(
-            sorted_codes, return_index=True, return_counts=True)
-        self.codes = unique
-        self.starts = starts
-        self.counts = counts
+        self.codes, self.starts, self.counts = np.unique(
+            codes[order], return_index=True, return_counts=True)
         self.nodes = order  # node ids grouped by code
 
-    def lookup(self, query: np.ndarray) -> np.ndarray:
-        """Group positions for encoded codes; -1 where the box is empty."""
+    def lookup(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each code's box as ``(start, count)``: its nodes are
+        ``nodes[start:start + count]``, and an empty box has count 0."""
         pos, hit = _search_sorted(self.codes, query)
-        return np.where(hit, pos, -1)
+        return self.starts[pos], np.where(hit, self.counts[pos], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +107,6 @@ def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     probability of their categories at that level.  Quadratic in n; use the
     fast sampler beyond a few thousand nodes.
     """
-    if n < 1:
-        raise DomainError(f"naive_sample needs n >= 1, got {n}")
     return sample_by_intersection(n, [measure.probs] * measure.k, measure.lengths, rng)
 
 
@@ -163,30 +153,22 @@ def sample_by_intersection(
 class QTable:
     """Per-level edge-mass table Q_ij = p_ij * l_i * l_j.
 
-    ``total`` is the level's edge survival factor s, and ``cum`` is the
-    normalized cumulative mass over row-major cells, ready for inverse-CDF
-    draws of an ordered category pair.
+    ``cum`` is the mass of the cells up to and including (i, j) in row-major
+    order over the level's total, ready for inverse-CDF draws of an ordered
+    category pair; its last cell is exactly one.
     """
 
-    q: np.ndarray
-    total: float
     cum: np.ndarray
 
     def sample_pairs(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.searchsorted(self.cum, rng.random(size), side="right")
-        flat = np.minimum(flat, self.q.size - 1)
-        m = self.q.shape[0]
-        return flat // m, flat % m
+        flat = np.searchsorted(self.cum.ravel(), rng.random(size), side="right")
+        return np.divmod(flat, self.cum.shape[1])
 
 
 def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
-    """Build the edge-mass table of one level matrix."""
-    q = probs * lengths[:, None] * lengths[None, :]
-    total = float(q.sum())
-    if total <= 0.0:
-        raise AllZeroMeasureError("every link probability is zero; nothing to sample")
-    cum = np.cumsum(q.ravel()) / total
-    return QTable(q=q, total=total, cum=cum)
+    """Build the edge-mass table of one level matrix with positive mass."""
+    cum = np.cumsum(probs * lengths[:, None] * lengths[None, :])
+    return QTable(cum=(cum / cum[-1]).reshape(probs.shape))
 
 
 def _target_edge_moments(
@@ -200,8 +182,6 @@ def _target_edge_moments(
     levels = len(matrices)
     bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
                          _EDGE_MOMENT_BASES)
-    if np.any(bases[:, 0] <= 0.0):
-        raise AllZeroMeasureError("a level has zero edge mass; nothing to sample")
     return _edge_moments_from_levels(n, bases, 1)
 
 
@@ -237,15 +217,14 @@ def _fast_sample_levels(
     round; within one pass the earliest box wins.  Edges count in box order
     and the run stops at exactly the drawn target.
     """
-    if n < 2:
-        raise DomainError(f"fast sampling needs n >= 2, got {n}")
+    if n < 1:
+        raise DomainError(f"fast sampling needs n >= 1, got {n}")
     if not (accuracy > 0.0 and math.isfinite(accuracy)):
         raise DomainError(f"accuracy must be positive and finite, got {accuracy!r}")
     rng = np.random.default_rng(rng)
     lengths = np.asarray(lengths, dtype=float)
     m = lengths.shape[0]
     k = len(matrices)
-    tables = [build_q(p, lengths) for p in matrices]
 
     moments = _target_edge_moments(n, matrices, lengths)
     max_edges = math.comb(n, 2)
@@ -254,9 +233,15 @@ def _fast_sample_levels(
     index = CategoryIndex(encode_categories(_draw_levels(n, k, lengths, rng), m))
     if target == 0:
         return Graph.empty(n)
+    # A positive target means every level's pair survival, its Q mass, is positive.
+    tables = [build_q(p, lengths) for p in matrices]
+    # A box places an edge about 1/accuracy as often, so runs of boxes that
+    # place nothing grow with accuracy; below 1 they do not shrink, since
+    # empty category boxes stay empty.
+    max_streak = _MAX_CONSECUTIVE_REJECTS * max(accuracy, 1.0)
 
     placed = np.empty(0, dtype=np.int64)  # sorted keys u * n + v, u < v
-    streak = 0  # boxes in a row, up to the end of the last round, that placed nothing
+    streak = 0  # boxes in a row, at the end of those counted so far, that placed nothing
     while placed.size < target:
         need = target - placed.size
         boxes = int(min(max(need * accuracy, _MIN_ROUND_BOXES), _MAX_ROUND_BOXES))
@@ -267,9 +252,8 @@ def _fast_sample_levels(
             i, j = table.sample_pairs(rng, boxes)
             code_u, code_v = code_u * m + i, code_v * m + j
             l_u, l_v = l_u * lengths[i], l_v * lengths[j]
-        pos_u = index.lookup(code_u)
-        pos_v = index.lookup(code_v)
-        valid = (pos_u >= 0) & (pos_v >= 0)
+        start_u, cnt_u = index.lookup(code_u)
+        start_v, cnt_v = index.lookup(code_v)
 
         same = code_u == code_v
         # Expected ordered pair count of the box: n(n-1) l l' across boxes,
@@ -279,12 +263,10 @@ def _fast_sample_levels(
             n * (n * l_u * l_u - l_u * l_u + l_u),
             float(n) * (n - 1) * l_u * l_v,
         )
-        cnt_u = np.where(valid, index.counts[np.maximum(pos_u, 0)], 1)
-        cnt_v = np.where(valid, index.counts[np.maximum(pos_v, 0)], 1)
         # Rate is actual over expected pairs: an over-occupied box must absorb
         # proportionally more edges, or light boxes soak up more than their
         # share and the clustering comes out too high.
-        lam = np.where(valid, cnt_u * cnt_v / (accuracy * pair_mass), 0.0)
+        lam = cnt_u * cnt_v / (accuracy * pair_mass)
         want = np.minimum(rng.poisson(np.minimum(lam, _POISSON_RATE_CAP)),
                           np.where(same, cnt_u * (cnt_u - 1) // 2, cnt_u * cnt_v))
 
@@ -297,8 +279,8 @@ def _fast_sample_levels(
             draws = np.minimum(want[live] - got[live], _MAX_ATTEMPTS_PER_BOX - spent[live])
             spent[live] += draws
             owner = np.repeat(live, draws)
-            u = index.nodes[index.starts[pos_u[owner]] + rng.integers(0, cnt_u[owner])]
-            v = index.nodes[index.starts[pos_v[owner]] + rng.integers(0, cnt_v[owner])]
+            u = index.nodes[start_u[owner] + rng.integers(0, cnt_u[owner])]
+            v = index.nodes[start_v[owner] + rng.integers(0, cnt_v[owner])]
             key = np.minimum(u, v) * n + np.maximum(u, v)
             fresh = np.flatnonzero((u != v) & ~_search_sorted(placed, key)[1]
                                  & ~_search_sorted(taken, key)[1])
@@ -310,31 +292,20 @@ def _fast_sample_levels(
             got += np.bincount(owner[fresh], minlength=boxes)
             live = live[(got[live] < want[live]) & (spent[live] < _MAX_ATTEMPTS_PER_BOX)]
 
-        # Runs of boxes that placed nothing, the first one continuing the
-        # last round's; the run at the end counts only if the round fell short.
-        cum = np.cumsum(got)
-        short = cum[-1] < need
-        end = boxes if short else int(np.searchsorted(cum, need)) + 1
-        run_ends = np.flatnonzero(got[:end])
-        if short:
-            run_ends = np.append(run_ends, end)
-        runs = np.diff(run_ends, prepend=-1) - 1
-        runs[0] += streak
-        over = np.flatnonzero(runs > _MAX_CONSECUTIVE_REJECTS)
-        if over.size:
-            before = run_ends[over[0]] - 1  # the run's last box; cum there excludes the run
-            done = placed.size + (int(cum[before]) if before >= 0 else 0)
-            streak = int(runs[over[0]])
-            raise StalledError(
-                f"no edge placed in {streak} consecutive boxes "
-                f"({done} of {target} edges placed)",
-                placed=done, target=target, streak=streak)
-        streak = int(runs[-1])
-
         # The round's edges in box order, cut at the target.
         order = np.argsort(np.concatenate(owners), kind="stable")[:need]
         new = np.sort(np.concatenate(keys)[order])
         placed = np.insert(placed, np.searchsorted(placed, new), new)
+
+        # Only a round that falls short counts all its boxes, and only then
+        # can the run of boxes that placed nothing carry on into the next.
+        hits = np.flatnonzero(got)
+        streak = boxes - 1 - int(hits[-1]) if hits.size else streak + boxes
+        if placed.size < target and streak > max_streak:
+            raise StalledError(
+                f"no edge placed in {streak} consecutive boxes "
+                f"({placed.size} of {target} edges placed)",
+                placed=placed.size, target=target, streak=streak)
 
     return Graph.from_pairs(n, np.column_stack([placed // n, placed % n]))
 
@@ -369,13 +340,13 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     if not (0.0 <= b <= 1.0):
         raise DomainError(f"noise amplitude must lie in [0, 1], got {b!r}")
     p = measure.probs
+    k = measure.k
+    if b == 0.0:
+        return NoiseSchedule(level_matrices=tuple([p] * k), offsets=np.zeros(k))
     diag_sum = float(p[0, 0] + p[1, 1])
     if diag_sum <= 0.0:
         raise DegenerateDiagonalError(
             "noise rebalancing divides by p11 + p22, which is zero")
-    k = measure.k
-    if b == 0.0:
-        return NoiseSchedule(level_matrices=tuple([p] * k), offsets=np.zeros(k))
     rng = np.random.default_rng(rng)
     offsets = rng.uniform(-b, b, size=k)
     mats = []

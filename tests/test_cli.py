@@ -310,6 +310,15 @@ def test_sample_naive_method(tmp_path, capsys, block_file):
     assert g.edge_count > 0
 
 
+@pytest.mark.parametrize("method", ["fast", "naive", "noisy"])
+def test_sample_one_node(tmp_path, capsys, block_file, method):
+    out = tmp_path / "g.tsv"
+    code, stdout, _ = run(capsys, "sample", "--measure", block_file, "--nodes", "1",
+                          "--method", method, "--seed", "1", "--out", str(out))
+    assert code == EXIT_OK
+    assert stdout.endswith("wrote 0 edges on 1 nodes to " + str(out) + "\n")
+
+
 @pytest.mark.parametrize("method, flag, value", [
     ("fast", "--noise", "0.5"),
     ("naive", "--noise", "0.5"),

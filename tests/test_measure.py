@@ -97,7 +97,7 @@ def test_depth_must_be_positive():
         mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=0)
 
 
-@pytest.mark.parametrize("k", [2.7, "x", None])
+@pytest.mark.parametrize("k", [2.7, "x", None, True])
 def test_depth_must_be_an_integer(k):
     with pytest.raises(DomainError):
         mfng.make_measure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], k=k)
@@ -133,6 +133,7 @@ HALF = [[0.5, 0.5], [0.5, 0.5]]
     ([0.5, 0.5], HALF, None, DomainError),
     ([0.5, 0.5], HALF, 63, DepthOverflowError),
     ([1.0], [[0.5]], max_depth(1) + 1, DepthOverflowError),
+    ([0.5, 0.5], HALF, True, DomainError),
 ])
 def test_direct_construction_rejects_what_make_measure_rejects(lengths, probs, k, error):
     with pytest.raises(error):

@@ -2,6 +2,7 @@
 build on, plus the error classes; test-only helpers stay in their modules.
 """
 
+import ast
 import subprocess
 import sys
 import types
@@ -56,3 +57,24 @@ def test_the_benchmark_tracer_finds_every_name_it_rebinds():
         [sys.executable, "-c", _TRACER_PROBE, str(root / "src"), str(root / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert (probe.returncode, probe.stdout, probe.stderr) == (0, "installed\n", "")
+
+
+def test_every_error_class_is_used_outside_its_module():
+    # A class counts as used when some module names it, say to raise it,
+    # catch it or pass it along, or when it is a base of a class that is.
+    package = Path(mfng.__file__).parent
+    named = set()
+    for path in package.glob("*.py"):
+        if path.name in ("errors.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    used = [cls for cls in classes if cls.__name__ in named]
+    dead = [cls.__name__ for cls in classes
+            if not any(issubclass(user, cls) for user in used)]
+    assert dead == []

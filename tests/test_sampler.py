@@ -7,7 +7,6 @@ import pytest
 
 import mfng
 from mfng import (
-    AllZeroMeasureError,
     DegenerateDiagonalError,
     DomainError,
     StalledError,
@@ -77,15 +76,21 @@ def test_category_index_partitions_nodes(block_measure):
                           np.random.default_rng(5))
     codes = encode_categories(levels, 2)
     index = CategoryIndex(codes)
-    seen = np.concatenate([index.nodes[start:start + count]
-                           for start, count in zip(index.starts, index.counts)])
-    assert sorted(seen.tolist()) == list(range(200))
-    # lookup finds every real code and rejects a foreign one
-    pos = index.lookup(codes)
-    assert np.all(pos >= 0)
-    assert np.all(index.codes[pos] == codes)
-    missing = index.lookup(np.array([2**40]))
-    assert missing[0] == -1
+    # every real code's box holds exactly the nodes with that code
+    distinct = np.unique(codes)
+    starts, counts = index.lookup(distinct)
+    seen = []
+    for code, start, count in zip(distinct, starts, counts):
+        box = index.nodes[start:start + count]
+        assert box.size == count > 0
+        assert np.all(codes[box] == code)
+        seen.extend(box.tolist())
+    assert sorted(seen) == list(range(200))
+    # per node, the box of its own code; a foreign code has an empty box
+    starts, counts = index.lookup(codes)
+    assert np.all(counts == np.bincount(codes)[codes])
+    _, missing = index.lookup(np.array([2**40, -1]))
+    assert missing.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,35 @@ def test_naive_is_intersection_over_k_copies(block_measure_k4):
         b = mfng.sample_by_intersection(
             N_BLOCKS, [meas.probs] * meas.k, meas.lengths, np.random.default_rng(seed))
         assert a == b
+
+
+def intersection_sample(n, meas, rng):
+    return mfng.sample_by_intersection(n, [meas.probs] * meas.k, meas.lengths, rng)
+
+
+def noisy_sample(n, meas, rng):
+    return mfng.noisy_sample(n, meas, 0.05, rng)
+
+
+SAMPLERS = [mfng.naive_sample, intersection_sample, mfng.fast_sample, noisy_sample]
+
+
+@pytest.mark.parametrize("sample", SAMPLERS, ids=lambda f: f.__name__)
+def test_samplers_share_one_domain(block_measure_k4, sample):
+    with pytest.raises(DomainError):
+        sample(0, block_measure_k4, np.random.default_rng(0))
+    g = sample(1, block_measure_k4, np.random.default_rng(0))
+    assert (g.n, g.edge_count) == (1, 0)
+
+
+def test_a_measure_whose_pairs_cannot_survive_samples_the_empty_graph():
+    zero = mfng.make_measure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]], k=3)
+    for n in (2, 50):
+        fast = mfng.fast_sample(n, zero, np.random.default_rng(0))
+        assert fast == mfng.naive_sample(n, zero, np.random.default_rng(0))
+        assert (fast.n, fast.edge_count) == (n, 0)
+        # no noise, no rebalancing: the zero diagonal is no obstacle
+        assert mfng.noisy_sample(n, zero, 0.0, np.random.default_rng(0)) == fast
 
 
 def test_naive_single_node():
@@ -187,16 +221,11 @@ def test_intersection_rejects_a_ragged_matrix():
 def test_build_q_values(block_measure_k4):
     table = build_q(block_measure_k4.probs, block_measure_k4.lengths)
     lengths = block_measure_k4.lengths
-    want = block_measure_k4.probs * np.outer(lengths, lengths)
-    assert np.allclose(table.q, want, rtol=1e-15)
-    assert math.isclose(table.total, mfng.edge_survival_factor(block_measure_k4),
-                        rel_tol=1e-12)
-
-
-def test_build_q_rejects_zero_mass():
-    meas = mfng.make_measure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]], k=1)
-    with pytest.raises(AllZeroMeasureError):
-        build_q(meas.probs, meas.lengths)
+    mass = block_measure_k4.probs * np.outer(lengths, lengths)
+    want = np.cumsum(mass) / mfng.edge_survival_factor(block_measure_k4)
+    assert table.cum.shape == (2, 2)
+    assert np.allclose(table.cum.ravel(), want, rtol=1e-12)
+    assert table.cum[-1, -1] == 1.0
 
 
 def test_q_table_sampling_respects_mass():
@@ -207,6 +236,17 @@ def test_q_table_sampling_respects_mass():
     assert np.all(i == j)
     frac_zero = float((i == 0).mean())
     assert abs(frac_zero - 0.5) < 0.04
+
+
+def test_q_table_cell_frequencies_follow_mass(three_cat_measure):
+    meas, draws = three_cat_measure, 60_000
+    table = build_q(meas.probs, meas.lengths)
+    i, j = table.sample_pairs(np.random.default_rng(6), draws)
+    freq = np.bincount(i * meas.m + j, minlength=meas.m ** 2) / draws
+    mass = (meas.probs * np.outer(meas.lengths, meas.lengths)).ravel()
+    want = mass / mass.sum()
+    se = np.sqrt(want * (1.0 - want) / draws)
+    assert np.all(np.abs(freq - want) < 4.5 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +340,17 @@ def test_fast_stalls_on_unreachable_target():
                         f"({err.placed} of {err.target} edges placed)")
 
 
+def test_fast_does_not_stall_while_it_still_places_edges(block_measure):
+    # At a high accuracy almost every box places nothing, so runs of more
+    # than 10 000 empty boxes fall inside rounds that still place edges.
+    n, meas = 100, mfng.make_measure(block_measure.lengths, block_measure.probs, k=12)
+    moments = _target_edge_moments(n, [meas.probs] * meas.k, meas.lengths)
+    for seed in range(8):
+        target = int(max(np.random.default_rng(seed).normal(moments.mean, moments.std), 0.0))
+        g = mfng.fast_sample(n, meas, np.random.default_rng(seed), accuracy=4000)
+        assert g.edge_count == target > 0
+
+
 def test_fast_config_validation(block_measure):
     for accuracy in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -364,6 +415,10 @@ def test_noise_schedule_rejects_bad_inputs(three_cat_measure, block_measure):
     degenerate = mfng.make_measure([0.5, 0.5], [[0.0, 0.9], [0.9, 0.0]], k=2)
     with pytest.raises(DegenerateDiagonalError):
         make_noise_schedule(degenerate, 0.1, np.random.default_rng(0))
+    # at amplitude 0 nothing is rebalanced, so the schedule is the measure
+    sched = make_noise_schedule(degenerate, 0.0)
+    assert len(sched.level_matrices) == degenerate.k
+    assert all(np.array_equal(p, degenerate.probs) for p in sched.level_matrices)
 
 
 # ---------------------------------------------------------------------------
