@@ -5,7 +5,8 @@ output is deterministic byte for byte given the same inputs and seed (no
 timestamps, fixed orderings, fixed float formatting).
 
 Exit codes: 0 success, 1 usage error, 2 bad input data (parse, schema, or
-validation failure), 3 runtime failure (e.g. the fast sampler stalled).
+validation failure), 3 runtime failure (the fast sampler stalled, an
+expectation overflows a float, or the command ran out of memory).
 """
 
 from __future__ import annotations
@@ -462,6 +463,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA
     except ArithmeticError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # e.g. a --nodes whose arrays do not fit
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_RUNTIME
 
 

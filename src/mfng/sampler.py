@@ -12,7 +12,12 @@ One exact sampler and one approximate one:
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
-  target is placed.  Expected O(|E| log |V|) work.
+  target is placed.  Expected O(|E| log |V|) work.  A box's category pair
+  at each level is the inverse-CDF cell of one uniform, found by counting
+  the cumulative bounds at or below it; the category-box lookups and the
+  placement's membership tests search sorted queries.  Each gives what a
+  binary search per query in random order gives, so a seed's graph is the
+  same as with those searches.
 
 ``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
 independently perturbed level matrices; the exact noisy draw is
@@ -88,7 +93,10 @@ class CategoryIndex:
     def lookup(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each code's box as ``(start, count)``: its nodes are
         ``nodes[start:start + count]``, and an empty box has count 0."""
-        pos, hit = _search_sorted(self.codes, query)
+        # Searched in sorted order, each query near the last, then scattered back.
+        order = np.argsort(query)
+        pos, hit = np.empty(query.shape, dtype=np.int64), np.empty(query.shape, dtype=bool)
+        pos[order], hit[order] = _search_sorted(self.codes, query[order])
         return self.starts[pos], np.where(hit, self.counts[pos], 0)
 
 
@@ -161,8 +169,13 @@ class QTable:
     cum: np.ndarray
 
     def sample_pairs(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.searchsorted(self.cum.ravel(), rng.random(size), side="right")
-        return np.divmod(flat, self.cum.shape[1])
+        # A draw's flat cell is the number of cumulative bounds at or below
+        # it, and its row the number of row-end bounds: the inverse-CDF cell,
+        # with m^2 comparisons in place of a binary search per draw.
+        u = rng.random(size)
+        flat = (self.cum.reshape(-1, 1) <= u).sum(axis=0)
+        row = (self.cum[:, -1:] <= u).sum(axis=0)
+        return row, flat - row * self.cum.shape[1]
 
 
 def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
@@ -265,9 +278,13 @@ def _fast_sample_levels(
         )
         # Rate is actual over expected pairs: an over-occupied box must absorb
         # proportionally more edges, or light boxes soak up more than their
-        # share and the clustering comes out too high.
-        lam = cnt_u * cnt_v / (accuracy * pair_mass)
-        want = np.minimum(rng.poisson(np.minimum(lam, _POISSON_RATE_CAP)),
+        # share and the clustering comes out too high.  A tiny accuracy can
+        # underflow the divisor to 0; fmin sends the inf that gives, and an
+        # empty box's 0/0, to the cap, and that box's pair cap of 0 keeps it
+        # empty.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam = np.fmin(cnt_u * cnt_v / (accuracy * pair_mass), _POISSON_RATE_CAP)
+        want = np.minimum(rng.poisson(lam),
                           np.where(same, cnt_u * (cnt_u - 1) // 2, cnt_u * cnt_v))
 
         got = np.zeros(boxes, dtype=np.int64)
@@ -282,11 +299,14 @@ def _fast_sample_levels(
             u = index.nodes[start_u[owner] + rng.integers(0, cnt_u[owner])]
             v = index.nodes[start_v[owner] + rng.integers(0, cnt_v[owner])]
             key = np.minimum(u, v) * n + np.maximum(u, v)
-            fresh = np.flatnonzero((u != v) & ~_search_sorted(placed, key)[1]
-                                 & ~_search_sorted(taken, key)[1])
-            fresh_keys, first = np.unique(key[fresh], return_index=True)
+            # A key's checks do not depend on its draw, so only the sorted
+            # distinct keys are tested, and each fresh one keeps its first draw.
+            distinct, first = np.unique(key, return_index=True)
+            ok = ((distinct // n != distinct % n) & ~_search_sorted(placed, distinct)[1]
+                  & ~_search_sorted(taken, distinct)[1])
+            fresh_keys = distinct[ok]
             taken = np.insert(taken, np.searchsorted(taken, fresh_keys), fresh_keys)
-            fresh = fresh[np.sort(first)]
+            fresh = np.sort(first[ok])
             owners.append(owner[fresh])
             keys.append(key[fresh])
             got += np.bincount(owner[fresh], minlength=boxes)

@@ -547,6 +547,19 @@ def test_runtime_error_stalled_sampler(capsys, tmp_path):
     assert "consecutive" in err
 
 
+def test_runtime_error_out_of_memory(capsys, tmp_path, block_file, monkeypatch):
+    # A real allocation this large can succeed lazily, so the sampler raises.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 13.8 TiB")
+
+    monkeypatch.setattr(mfng.cli, "fast_sample", no_memory)
+    code, out, err = run(capsys, "sample", "--measure", block_file, "--nodes", "10",
+                         "--out", str(tmp_path / "g.tsv"))
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 13.8 TiB\n"
+
+
 def test_runtime_error_overflowing_expectation_names_the_feature(capsys, block_file):
     code, out, err = run(capsys, "moments", "--measure", block_file,
                          "--features", "edges,S200", "--nodes", "1000000")

@@ -1,5 +1,6 @@
 """Category assignment, exact samplers, fast box sampler, noisy variant."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mfng import (
     StalledError,
     UnsupportedMError,
 )
+from mfng.features import _search_sorted
 from mfng.sampler import (
     _MAX_CONSECUTIVE_REJECTS,
     _PAIR_BLOCK,
@@ -91,6 +93,16 @@ def test_category_index_partitions_nodes(block_measure):
     assert np.all(counts == np.bincount(codes)[codes])
     _, missing = index.lookup(np.array([2**40, -1]))
     assert missing.tolist() == [0, 0]
+    # the boxes a search of each query finds, in any query order: unsorted
+    # with repeats, below and above every occupied code, and empty
+    outside = [index.codes[0] - 1, index.codes[-1] + 1]
+    for query in (codes, np.array([*outside, codes[3], *outside, codes[0]]),
+                  np.empty(0, dtype=np.int64)):
+        pos, hit = _search_sorted(index.codes, query)
+        starts, counts = index.lookup(query)
+        assert starts.shape == counts.shape == query.shape
+        assert np.array_equal(starts, index.starts[pos])
+        assert np.array_equal(counts, np.where(hit, index.counts[pos], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +250,37 @@ def test_q_table_sampling_respects_mass():
     assert abs(frac_zero - 0.5) < 0.04
 
 
+class FixedUniforms:
+    """Stands in for a generator whose ``random(size)`` returns given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
+
+
+@pytest.mark.parametrize("lengths, probs", [
+    ([1.0], [[0.3]]),
+    ([0.25, 0.75], [[0.0, 0.43], [0.43, 0.78]]),  # zero-mass first cell
+    ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.0], [0.5, 0.7, 0.0], [0.0, 0.0, 0.0]]),  # zero last row
+    ([0.2, 0.3, 0.5], np.diag([0.4, 0.0, 0.6])),  # diagonal mass only
+    # m = 5 with zero-mass first and last cells
+    ([0.1, 0.2, 0.3, 0.15, 0.25], np.full((5, 5), 0.5) - np.diag([0.5, 0, 0, 0, 0.5])),
+])
+def test_q_table_draw_is_the_inverse_cdf_cell(lengths, probs):
+    table = build_q(np.asarray(probs, dtype=float), np.asarray(lengths))
+    m = table.cum.shape[0]
+    bounds = table.cum.ravel()
+    # random uniforms, then every bound itself (ties go right) and zero
+    for u in (np.random.default_rng(m).random(5000), np.append(bounds[bounds < 1.0], 0.0)):
+        i, j = table.sample_pairs(FixedUniforms(u), u.size)
+        want_i, want_j = np.divmod(np.searchsorted(bounds, u, side="right"), m)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert np.all(bounds[i * m + j] > u)
+
+
 def test_q_table_cell_frequencies_follow_mass(three_cat_measure):
     meas, draws = three_cat_measure, 60_000
     table = build_q(meas.probs, meas.lengths)
@@ -359,6 +402,46 @@ def test_fast_config_validation(block_measure):
         with pytest.raises(DomainError):
             mfng.noisy_sample(100, block_measure, 0.1, np.random.default_rng(0),
                               accuracy=accuracy)
+
+
+@pytest.mark.parametrize("accuracy", [5e-324, 1e-310])
+def test_fast_samplers_take_an_accuracy_whose_rate_divisor_underflows(block_measure, accuracy):
+    # accuracy * pair_mass is 0: every box's rate goes to the cap, so each
+    # box asks for all its pairs, and an empty box still places none.
+    for sample in (lambda rng: mfng.fast_sample(300, block_measure, rng, accuracy=accuracy),
+                   lambda rng: mfng.noisy_sample(300, block_measure, 0.05, rng,
+                                                 accuracy=accuracy)):
+        g = sample(np.random.default_rng(3))
+        assert g.n == 300 and g.edge_count > 0
+
+
+# The seed -> graph mapping, recorded as (edge count, sha256 of the edge
+# array's bytes).  A change to the sampler's draws changes these on purpose.
+_BLOCK_K10 = ((0.25, 0.75), ((0.59, 0.43), (0.43, 0.78)), 10)
+_THREE_CAT = ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.2], [0.5, 0.7, 0.4], [0.2, 0.4, 0.6]], 3)
+_DENSE_CORE = ([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], 3)
+
+
+@pytest.mark.parametrize("spec, n, noise, accuracy, edges, digest", [
+    (_BLOCK_K10, 2000, None, 1.0, 21946,
+     "d06763eea6acd4b73b569d06fa93c8962921af4ec5701ad626aa9cb4a0d9c415"),
+    (_BLOCK_K10, 2000, None, 4.0, 21946,
+     "9d416e999152326eefa3b4b7421f9d1505d86164f9c2dce9a90758333892fd51"),
+    (_BLOCK_K10, 2000, 0.05, 1.0, 21306,
+     "a3e9c6c30813fea7dd7ef07ec57604aab6f64467c2a87599ddb0c9dfbee35924"),
+    (_THREE_CAT, 2000, None, 1.0, 206221,
+     "8572753865a383eb5731c87c628e3d88449973434f9ea929adf866a95e9a2f70"),
+    (_DENSE_CORE, 400, None, 1.0, 1896,
+     "14bbbba37f8572b0d11ea97eb3c078fd362dae81c846d248b5ac93a26ce7de97"),
+], ids=["fast-accuracy-1", "fast-accuracy-4", "noisy-b-0.05", "fast-m-3", "fast-dense-core"])
+def test_seed_to_graph_mapping_is_pinned(spec, n, noise, accuracy, edges, digest):
+    meas = mfng.make_measure(*spec[:2], k=spec[2])
+    rng = np.random.default_rng(7)
+    if noise is None:
+        g = mfng.fast_sample(n, meas, rng, accuracy=accuracy)
+    else:
+        g = mfng.noisy_sample(n, meas, noise, rng, accuracy=accuracy)
+    assert (g.edge_count, hashlib.sha256(g.edge_array().tobytes()).hexdigest()) == (edges, digest)
 
 
 def test_target_moments_match_constant_schedule(block_measure):
