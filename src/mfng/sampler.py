@@ -12,12 +12,9 @@ One exact sampler and one approximate one:
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
-  target is placed.  Expected O(|E| log |V|) work.  A box's category pair
-  at each level is the inverse-CDF cell of one uniform, found by counting
-  the cumulative bounds at or below it; the category-box lookups and the
-  placement's membership tests search sorted queries.  Each gives what a
-  binary search per query in random order gives, so a seed's graph is the
-  same as with those searches.
+  target is placed.  Expected O(|E| log |V|) work.  The category-box
+  lookups and the placement's membership tests search their queries in
+  sorted order; ``tests/test_sampler.py`` pins the graph each seed gives.
 
 ``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
 independently perturbed level matrices; the exact noisy draw is
@@ -169,13 +166,8 @@ class QTable:
     cum: np.ndarray
 
     def sample_pairs(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        # A draw's flat cell is the number of cumulative bounds at or below
-        # it, and its row the number of row-end bounds: the inverse-CDF cell,
-        # with m^2 comparisons in place of a binary search per draw.
-        u = rng.random(size)
-        flat = (self.cum.reshape(-1, 1) <= u).sum(axis=0)
-        row = (self.cum[:, -1:] <= u).sum(axis=0)
-        return row, flat - row * self.cum.shape[1]
+        flat = np.searchsorted(self.cum.ravel(), rng.random(size), side="right")
+        return np.divmod(flat, self.cum.shape[1])
 
 
 def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
