@@ -245,6 +245,15 @@ def _emit_table(rows: list[tuple], header: tuple, fmt: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
+def _emit_comparison(actual, expected, fmt: str) -> None:
+    """One row per counted feature: actual, expected and expected / actual,
+    the ratio left blank where the count is 0."""
+    rows = [(key, str(count), _fmt(expected.value(key)),
+             _fmt(expected.value(key) / count) if count > 0 else "")
+            for key, count in actual.items()]
+    _emit_table(rows, ("feature", "actual", "expected", "ratio"), fmt, sys.stdout)
+
+
 def _parse_features_arg(spec: str) -> tuple[str, ...]:
     keys = tuple(key.strip() for key in spec.split(",") if key.strip())
     if not keys:
@@ -300,10 +309,8 @@ def cmd_fit(args) -> int:
     sys.stdout.write(
         f"fit: m={args.m} k={result.k} objective={_fmt(result.objective)} "
         f"restart={result.restart} of {result.restarts}\n")
-    expected = expected_feature_vector(result.measure, graph.n, target.keys())
-    rows = [(key, str(observed), _fmt(expected.value(key)), _fmt(result.ratios[key]))
-            for key, observed in target.items()]
-    _emit_table(rows, ("feature", "actual", "expected", "ratio"), args.format, sys.stdout)
+    _emit_comparison(target, expected_feature_vector(result.measure, graph.n, target.keys()),
+                     args.format)
     write_measure(result.measure, args.out)
     sys.stdout.write(f"wrote measure to {args.out}\n")
     return EXIT_OK
@@ -341,14 +348,8 @@ def cmd_compare(args) -> int:
     graph = from_edge_list(read_edge_list(args.graph))
     measure = read_measure(args.measure)
     features = _parse_features_arg(args.features)
-    actual = feature_vector(graph, features)
-    expected = expected_feature_vector(measure, graph.n, features)
-    rows = []
-    for key, count in actual.items():
-        exp = expected.value(key)
-        ratio = _fmt(exp / count) if count > 0 else ""
-        rows.append((key, str(count), _fmt(exp), ratio))
-    _emit_table(rows, ("feature", "actual", "expected", "ratio"), args.format, sys.stdout)
+    _emit_comparison(feature_vector(graph, features),
+                     expected_feature_vector(measure, graph.n, features), args.format)
     return EXIT_OK
 
 
@@ -455,15 +456,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # a missing input, or an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except StalledError as exc:
+    except (StalledError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RUNTIME
     except MfngError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except ArithmeticError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RUNTIME
     except MemoryError as exc:  # e.g. a --nodes whose arrays do not fit
         sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_RUNTIME

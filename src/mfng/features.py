@@ -1,5 +1,9 @@
 """Undirected graph container and exact subgraph counting.
 
+A ``Graph`` stores each edge once, as the key ``u * n + v`` with u < v,
+in one sorted array, together with its degree vector.  Counting needs
+only those two; ``neighbors`` is a scan over the keys.
+
 Counts are exact Python integers throughout: star counts on heavy-tailed
 graphs overflow 64-bit arithmetic long before the graphs get interesting.
 
@@ -31,22 +35,25 @@ from .measure import DEFAULT_FEATURES, FeatureVector, parse_feature
 class Graph:
     """Simple undirected graph on dense node ids [0, n).
 
-    Stored in compressed sparse rows (both directions of every edge), with
-    each neighbor list sorted ascending.  No self-loops, no multi-edges.
+    Stored as its edge keys ``u * n + v`` (u < v), one per edge, sorted and
+    unique, plus the degree vector computed once at construction.  No
+    self-loops, no multi-edges.  ``neighbors`` is a scan over the keys.
     """
 
-    __slots__ = ("_n", "_indptr", "_indices")
+    __slots__ = ("_n", "_keys", "_degrees")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, n: int, keys: np.ndarray):
         self._n = int(n)
-        self._indptr = indptr
-        self._indices = indices
+        self._keys = keys
+        u, v = divmod(keys, np.int64(n))
+        self._degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        self._degrees.flags.writeable = False
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def empty(cls, n: int = 0) -> "Graph":
-        return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return cls(n, np.empty(0, dtype=np.int64))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
@@ -58,23 +65,16 @@ class Graph:
         raise ``DomainError``.
         """
         arr = _id_pairs(pairs)
-        if arr.size == 0:
-            return cls.empty(n)
-        if arr.min() < 0 or arr.max() >= n:
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise DomainError("edge endpoints must lie in [0, n)")
-        arr = arr[arr[:, 0] != arr[:, 1]]
-        if arr.shape[0] == 0:
-            return cls.empty(n)
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        # One sort of the keys u * n + v over both orientations puts every
-        # row in order and every neighbor list ascending; dropping repeats
-        # collapses duplicate edges.
-        n64 = np.int64(n)
-        keys = np.sort(np.concatenate([lo * n64 + hi, hi * n64 + lo]))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        indptr, rows = _csr_rows(keys, n)
-        return cls(n, indptr, keys - rows * n64)
+        # One sort of the keys u * n + v of the rows that are not self-loops
+        # puts the edges in order; dropping repeats collapses duplicates.
+        keys = np.sort((lo * np.int64(n) + hi)[lo != hi])
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        return cls(n, keys[fresh])
 
     # -- basic accessors ---------------------------------------------------
 
@@ -84,30 +84,28 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(self._indices.size // 2)
+        return int(self._keys.size)
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
+        """Degree of every node (a read-only array)."""
+        return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (a read-only view)."""
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        """Sorted neighbor ids of v, found by a scan over all E edge keys, O(E)."""
+        u, w = divmod(self._keys, np.int64(self._n))
+        return np.concatenate([u[w == v], w[u == v]])
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array with u < v, sorted lexicographically."""
-        src = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
-        fwd = src < self._indices
-        return np.column_stack([src[fwd], self._indices[fwd]])
+        return np.column_stack(divmod(self._keys, np.int64(self._n)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self._n == other._n
-                and np.array_equal(self._indptr, other._indptr)
-                and np.array_equal(self._indices, other._indices))
+        return self._n == other._n and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):
-        return hash((self._n, self._indices.size))
+        return hash((self._n, self._keys.size))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, edges={self.edge_count})"
@@ -228,13 +226,10 @@ class _Forward:
     @classmethod
     def of(cls, graph: Graph) -> "_Forward":
         n = np.int64(graph.n)
-        deg = graph.degrees()
         rank = np.empty(graph.n, dtype=np.int64)
-        rank[np.argsort(deg, kind="stable")] = np.arange(graph.n)
-        src = np.repeat(rank, deg)
-        dst = rank[graph._indices]
-        fwd = src < dst
-        keys = np.sort(src[fwd] * n + dst[fwd])
+        rank[np.argsort(graph.degrees(), kind="stable")] = np.arange(graph.n)
+        u, v = (rank[ends] for ends in divmod(graph._keys, n))
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
         indptr, rows = _csr_rows(keys, graph.n)
         return cls(graph.n, indptr, rows, keys - rows * n, keys)
 

@@ -38,6 +38,13 @@ def test_from_edge_list_dedups_and_relabels():
 def test_from_edge_list_empty():
     g = mfng.from_edge_list([])
     assert g.n == 0 and g.edge_count == 0
+    for g in (g, Graph.empty(0), Graph.from_pairs(0, []), Graph.empty(3),
+              Graph.from_pairs(3, [(1, 1)])):
+        assert g.edge_count == 0
+        assert g.edge_array().shape == (0, 2)
+        assert g.degrees().tolist() == [0] * g.n
+        assert all(g.neighbors(v).shape == (0,) for v in range(g.n))
+        assert g == Graph.empty(g.n)
 
 
 def unique_relabel(pairs):
@@ -123,8 +130,18 @@ def test_from_pairs_keeps_isolated_nodes():
 
 def test_edge_array_round_trip():
     g = random_gnp(12, 0.4, seed=3)
-    again = Graph.from_pairs(12, g.edge_array())
-    assert again == g
+    edges = g.edge_array()
+    assert edges.shape == (g.edge_count, 2)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    keys = edges[:, 0] * 12 + edges[:, 1]
+    assert (np.diff(keys) > 0).all()  # strictly increasing: sorted, no repeats
+    assert Graph.from_pairs(12, edges) == g
+    # Row order, orientation, repeats and self-loops do not change the graph.
+    rng = np.random.default_rng(5)
+    loops = np.column_stack([np.arange(12), np.arange(12)])
+    messy = np.concatenate([edges, edges[:, ::-1], edges[::3], loops])
+    assert Graph.from_pairs(12, rng.permutation(messy)) == g
+    assert Graph.from_pairs(12, edges[::-1, ::-1]) == g
 
 
 def test_neighbors():
@@ -132,6 +149,17 @@ def test_neighbors():
     assert g.neighbors(1).tolist() == [0, 2]
     assert g.neighbors(0).tolist() == [1]
     assert g.neighbors(2).tolist() == [1]
+    # A G(n, p) graph in which node 16 is isolated and some node has
+    # neighbors both below and above it.
+    mask = np.triu(np.random.default_rng(4).random((17, 17)) < 0.3, 1)
+    mask[:, 16] = False
+    adjacency = mask | mask.T
+    g = Graph.from_pairs(17, np.argwhere(mask))
+    assert not adjacency[16].any()
+    assert any(adjacency[v, :v].any() and adjacency[v, v + 1:].any() for v in range(17))
+    for v in range(17):
+        assert g.neighbors(v).tolist() == np.flatnonzero(adjacency[v]).tolist()
+    assert g.degrees().tolist() == adjacency.sum(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -78,3 +78,19 @@ def test_every_error_class_is_used_outside_its_module():
     dead = [cls.__name__ for cls in classes
             if not any(issubclass(user, cls) for user in used)]
     assert dead == []
+
+
+def test_every_np_unique_call_asks_for_a_return_array():
+    # Bare np.unique over int64 keys takes a hash path about 60 times slower
+    # than a sort and a neighbour mask (2.1 s against 0.034 s for 1.9M keys
+    # on numpy 2.4), so package code sorts instead.  A call that asks for an
+    # index, inverse or count array still sorts.
+    package = Path(mfng.__file__).parent
+    bare = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and not any((kw.arg or "").startswith("return_") for kw in node.keywords)):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
