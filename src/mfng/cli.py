@@ -290,12 +290,11 @@ def cmd_features(args) -> int:
 def cmd_degree_dist(args) -> int:
     graph = from_edge_list(read_edge_list(args.graph))
     dist = degree_distribution(graph)
-    ccdf = dist.ccdf()
+    ccdf = dist.ccdf() if dist.node_count else np.zeros(1)  # the empty graph's row reads 0
+    rows = [(str(d), str(count), _fmt(c))
+            for d, (count, c) in enumerate(zip(dist.counts.tolist(), ccdf.tolist()))]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("degree,count,ccdf\r\n")
-        for d, count in enumerate(dist.counts.tolist()):
-            c = _fmt(ccdf[d]) if ccdf.size else _fmt(0.0)
-            fh.write(f"{d},{count},{c}\r\n")
+        _emit_table(rows, ("degree", "count", "ccdf"), "csv", fh)
     sys.stdout.write(f"wrote {dist.counts.size} degree rows to {args.out}\n")
     return EXIT_OK
 

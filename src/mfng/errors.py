@@ -35,7 +35,8 @@ class DepthOverflowError(MeasureValidationError):
 
 
 class TooLargeError(MfngError, ValueError):
-    """An exhaustive enumeration was requested beyond its feasible size."""
+    """An exhaustive enumeration, or a fast-sampler run, was requested
+    beyond its feasible size."""
 
 
 class CliqueSizeError(TooLargeError):

@@ -38,6 +38,11 @@ class Graph:
     Stored as its edge keys ``u * n + v`` (u < v), one per edge, sorted and
     unique, plus the degree vector computed once at construction.  No
     self-loops, no multi-edges.  ``neighbors`` is a scan over the keys.
+
+    The constructor ``Graph(n, keys)`` trusts its input and checks nothing:
+    ``keys`` must be a strictly increasing int64 array of ``u * n + v`` with
+    0 <= u < v < n.  The samplers build that array directly;
+    :meth:`from_pairs` makes it from (u, v) rows that come from outside.
     """
 
     __slots__ = ("_n", "_keys", "_degrees")
@@ -57,7 +62,8 @@ class Graph:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
-        """Build a graph on exactly n nodes from (u, v) rows.
+        """Build a graph on exactly n nodes from (u, v) rows from outside the
+        package, such as a user's pairs or an edge-list file's.
 
         Self-loops are dropped and duplicates (in either orientation) are
         collapsed.  Node ids must already lie in [0, n); isolated nodes are
@@ -109,14 +115,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, edges={self.edge_count})"
-
-
-def _csr_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointer and row ids of sorted keys ``u * n + v`` on n rows."""
-    rows = keys // np.int64(n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, rows
 
 
 def _search_sorted(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +228,9 @@ class _Forward:
         rank[np.argsort(graph.degrees(), kind="stable")] = np.arange(graph.n)
         u, v = (rank[ends] for ends in divmod(graph._keys, n))
         keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-        indptr, rows = _csr_rows(keys, graph.n)
+        rows = keys // n
+        indptr = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=graph.n), out=indptr[1:])
         return cls(graph.n, indptr, rows, keys - rows * n, keys)
 
     def has_edge(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ nodes never overflow.
 One engine computes them all.  ``_level_bases`` is the only code that
 computes per-level survivals, for a stack of measures (lanes), and
 ``_log_expected`` is the one log-space step, log placements + depth * log
-base.  The public closed forms are its one-lane case, the edge moments and
-the sampler's edge target sum per-level logs over lanes, and the fit's
-objective evaluates many measures in one call.
+base.  The public closed forms are its one-lane case, and the fit's
+objective evaluates many measures in one call.  ``_edge_moments_of_levels``
+is the one edge-moment function: it sums per-level logs over one matrix per
+level, so ``edge_moments`` is a measure's matrix at depth k and the
+sampler's edge target its k level matrices at depth 1.
 """
 
 from __future__ import annotations
@@ -259,11 +261,6 @@ def _check_depth(k, m: int) -> int:
 # per-level survival factors
 # ---------------------------------------------------------------------------
 
-# The per-level bases of the edge moments: the pair survival and the wedge
-# excess (see _level_bases).
-_EDGE_MOMENT_BASES = (("edges", 0), ("wedge_excess", 2))
-
-
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
     """Per-level probability that one node pair survives: sum p_ij l_i l_j."""
     return float(_measure_bases(measure, [("edges", 0)])[0])
@@ -406,10 +403,13 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     return float(_expected(measure, n, [("clique", t)])[0])
 
 
-def _edge_moments_from_levels(n: int, bases: np.ndarray, depth: int) -> EdgeMoments:
-    """Edge-count moments from (L, 2) per-level pair survivals s_r and wedge
-    excesses d_r = w_r - s_r**2 (w_r the wedge survival), each level taken
-    ``depth`` times: their logs are summed over levels.
+def _edge_moments_of_levels(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray,
+                            depth: int) -> EdgeMoments:
+    """Edge-count moments on n nodes of one probability matrix per level,
+    each level taken ``depth`` times: a measure is its one matrix at depth
+    k, the sampler's schedule its k matrices at depth 1.  Every level's
+    pair survival s_r and wedge excess d_r = w_r - s_r**2 (w_r the wedge
+    survival) come from :func:`_level_bases`, and their logs are summed.
 
     With S = prod s_r and W = prod w_r, a pair covaries with itself and with
     the n(n-1)(n-2) ordered pairs that share one node with it, so the
@@ -418,6 +418,9 @@ def _edge_moments_from_levels(n: int, bases: np.ndarray, depth: int) -> EdgeMome
     W - S**2 = S**2 * expm1(sum_r log1p(d_r / s_r**2)) with d_r summed from
     squares.  A pair that cannot survive (S = 0) gives moments (0, 0, 0).
     """
+    levels = len(matrices)
+    bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
+                         (("edges", 0), ("wedge_excess", 2)))
     pair, excess = bases[:, 0], bases[:, 1]
     if not np.all(pair > 0.0):
         return EdgeMoments(mean=0.0, variance=0.0, std=0.0)
@@ -438,11 +441,10 @@ def _edge_moments_from_levels(n: int, bases: np.ndarray, depth: int) -> EdgeMome
 
 
 def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
-    """Edge-count mean and variance (see :func:`_edge_moments_from_levels`)."""
+    """Edge-count mean and variance (see :func:`_edge_moments_of_levels`)."""
     if n < 2:
         raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    return _edge_moments_from_levels(n, _measure_bases(measure, _EDGE_MOMENT_BASES)[None],
-                                     measure.k)
+    return _edge_moments_of_levels(n, [measure.probs], measure.lengths, measure.k)
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:

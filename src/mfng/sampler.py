@@ -12,9 +12,16 @@ One exact sampler and one approximate one:
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
-  target is placed.  Expected O(|E| log |V|) work.  The category-box
-  lookups and the placement's membership tests search their queries in
-  sorted order; ``tests/test_sampler.py`` pins the graph each seed gives.
+  target is placed.  Expected O(|E| log |V|) work.  The target's mean and
+  variance are ``measure``'s edge moments over the level matrices, each at
+  depth 1.  A run whose expected box count, accuracy times the expected
+  edge count, is beyond ``_MAX_EXPECTED_BOXES`` raises ``TooLargeError``
+  before any draw.  The category-box lookups and the placement's
+  membership tests search their queries in sorted order;
+  ``tests/test_sampler.py`` pins the graph each seed gives.
+
+Both samplers build a ``Graph``'s own form, the sorted edge keys
+``u * n + v`` with u < v, and hand it over as it is.
 
 ``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
 independently perturbed level matrices; the exact noisy draw is
@@ -33,10 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDiagonalError, DomainError, StalledError, UnsupportedMError
+from .errors import (DegenerateDiagonalError, DomainError, StalledError, TooLargeError,
+                     UnsupportedMError)
 from .features import Graph, _search_sorted
-from .measure import (_EDGE_MOMENT_BASES, EdgeMoments, GeneratingMeasure, _check_lengths,
-                      _check_probs, _edge_moments_from_levels, _level_bases)
+from .measure import GeneratingMeasure, _check_lengths, _check_probs, _edge_moments_of_levels
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -57,6 +64,11 @@ _MAX_CONSECUTIVE_REJECTS = 10_000
 # larger than the need thins out dense blocks.
 _MIN_ROUND_BOXES = 256
 _MAX_ROUND_BOXES = 1 << 16
+
+# The fast sampler refuses a run whose expected box count, the accuracy
+# times the expected edge count, exceeds this: its work grows with that
+# count, and so does the stall limit.
+_MAX_EXPECTED_BOXES = 1 << 32
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,8 @@ def sample_by_intersection(
     pair still standing, with that level's link probability, and a pair
     that passes every level is an edge.  The levels are independent, so
     this is one coin with the product probability; per-level matrices give
-    the exact noisy variant.
+    the exact noisy variant.  Each block's edge keys come out ascending, and
+    so does their concatenation.
     """
     if n < 1:
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
@@ -136,7 +149,7 @@ def sample_by_intersection(
     rng = np.random.default_rng(rng)
     levels = _draw_levels(n, len(matrices), lengths, rng)
 
-    blocks = []
+    keys = []  # each block's keys u * n + v: blocks go by row, nonzero is row-major
     for u0 in range(0, n, _PAIR_BLOCK):
         # A block of rows from u0 against columns u0+1..n-1; triu keeps v > u.
         row_cats, col_cats = levels[u0:u0 + _PAIR_BLOCK, 0], levels[u0 + 1:, 0]
@@ -146,8 +159,8 @@ def sample_by_intersection(
         for r, probs in enumerate(matrices[1:], start=1):
             keep = rng.random(iu.size) < probs[levels[iu, r], levels[iv, r]]
             iu, iv = iu[keep], iv[keep]
-        blocks.append(np.column_stack([iu, iv]))
-    return Graph.from_pairs(n, np.concatenate(blocks))
+        keys.append(iu * n + iv)
+    return Graph(n, np.concatenate(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +189,6 @@ def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
     return QTable(cum=(cum / cum[-1]).reshape(probs.shape))
 
 
-def _target_edge_moments(
-    n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray
-) -> EdgeMoments:
-    """Edge-count moments with per-level survival factors.
-
-    The same closed forms as :func:`edge_moments`, with the level matrices
-    stacked as lanes and their logs summed.
-    """
-    levels = len(matrices)
-    bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
-                         _EDGE_MOMENT_BASES)
-    return _edge_moments_from_levels(n, bases, 1)
-
-
 def fast_sample(
     n: int, measure: GeneratingMeasure, rng=None, *, accuracy: float = 1.0
 ) -> Graph:
@@ -197,7 +196,9 @@ def fast_sample(
 
     ``accuracy`` divides every box's Poisson rate: a larger value drops
     fewer edges into each of more boxes, which follows the measure more
-    closely at the cost of more box draws.
+    closely at the cost of more box draws.  When accuracy times the
+    expected edge count exceeds ``_MAX_EXPECTED_BOXES``, ``TooLargeError``
+    is raised before any draw.
     """
     return _fast_sample_levels(
         n, [measure.probs] * measure.k, measure.lengths, accuracy, rng)
@@ -231,7 +232,11 @@ def _fast_sample_levels(
     m = lengths.shape[0]
     k = len(matrices)
 
-    moments = _target_edge_moments(n, matrices, lengths)
+    moments = _edge_moments_of_levels(n, matrices, lengths, 1)
+    if accuracy * moments.mean > _MAX_EXPECTED_BOXES:
+        raise TooLargeError(
+            f"accuracy {accuracy!r} times the {moments.mean:.6g} expected edges asks for "
+            f"more than {_MAX_EXPECTED_BOXES} box draws")
     max_edges = math.comb(n, 2)
     target = int(min(max(rng.normal(moments.mean, moments.std), 0.0), float(max_edges)))
 
@@ -319,7 +324,7 @@ def _fast_sample_levels(
                 f"({placed.size} of {target} edges placed)",
                 placed=placed.size, target=target, streak=streak)
 
-    return Graph.from_pairs(n, np.column_stack([placed // n, placed % n]))
+    return Graph(n, placed)
 
 
 # ---------------------------------------------------------------------------

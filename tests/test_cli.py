@@ -285,6 +285,21 @@ def test_degree_dist_command(tmp_path, capsys, graph_file):
     first = rows[1].split(",")
     assert first[0] == "0"
     assert float(first[2]) == 1.0
+    # Exact bytes: CRLF rows, 17 significant digits, and the empty graph's
+    # one row (a header-only edge list has no nodes).
+    for edges, want in [
+        ("0 1\n1 2\n0 3\n", b"degree,count,ccdf\r\n0,0,1\r\n1,2,1\r\n2,2,0.5\r\n"),
+        ("0 1\n1 2\n",
+         b"degree,count,ccdf\r\n0,0,1\r\n1,2,1\r\n2,1,0.33333333333333331\r\n"),
+        ("# no edges\n", b"degree,count,ccdf\r\n0,0,0\r\n"),
+    ]:
+        graph_path = tmp_path / "small.tsv"
+        graph_path.write_text(edges)
+        code, out, _ = run(capsys, "degree-dist", "--graph", str(graph_path),
+                           "--out", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == want
+        assert out == f"wrote {len(want.splitlines()) - 1} degree rows to {out_path}\n"
 
 
 def test_sample_fast_is_deterministic(tmp_path, capsys, block_file):
@@ -510,6 +525,19 @@ def test_data_error_bad_accuracy(capsys, tmp_path, block_file):
                          "--accuracy", "0", "--out", str(tmp_path / "g.tsv"))
     assert code == EXIT_DATA
     assert err.startswith("error: ") and "accuracy" in err
+
+
+def test_data_error_accuracy_beyond_the_box_budget(capsys, tmp_path, block_file, monkeypatch):
+    # Refused before any box is drawn, where it once ran without end.
+    def no_box_draws(*args, **kwargs):
+        raise AssertionError("a box was drawn")
+
+    monkeypatch.setattr(mfng.sampler.QTable, "sample_pairs", no_box_draws)
+    code, out, err = run(capsys, "sample", "--measure", block_file, "--nodes", "300",
+                         "--accuracy", "1e300", "--out", str(tmp_path / "g.tsv"))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "box draws" in err
 
 
 def test_data_error_boolean_measure(capsys, tmp_path):

@@ -94,3 +94,16 @@ def test_every_np_unique_call_asks_for_a_return_array():
                     and not any((kw.arg or "").startswith("return_") for kw in node.keywords)):
                 bare.append(f"{path.name}:{node.lineno}")
     assert bare == []
+
+
+def test_only_features_builds_a_graph_from_pairs():
+    # Graph.from_pairs validates, encodes and sorts pairs from outside the
+    # package; the samplers build a graph's sorted keys themselves.
+    package = Path(mfng.__file__).parent
+    callers = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_pairs" and path.name != "features.py"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

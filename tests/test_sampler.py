@@ -10,16 +10,19 @@ import mfng
 from mfng import (
     DegenerateDiagonalError,
     DomainError,
+    Graph,
     StalledError,
+    TooLargeError,
     UnsupportedMError,
 )
 from mfng.features import _search_sorted
+from mfng.measure import _edge_moments_of_levels
 from mfng.sampler import (
     _MAX_CONSECUTIVE_REJECTS,
     _PAIR_BLOCK,
     CategoryIndex,
+    QTable,
     _draw_levels,
-    _target_edge_moments,
     build_q,
     encode_categories,
     make_noise_schedule,
@@ -348,8 +351,8 @@ def test_fast_stops_at_the_drawn_target(block_measure):
     # The target is the first draw of the generator: a normal around the
     # closed-form edge mean, truncated to an int.
     n = 2000
-    moments = _target_edge_moments(n, [block_measure.probs] * block_measure.k,
-                                   block_measure.lengths)
+    moments = _edge_moments_of_levels(n, [block_measure.probs] * block_measure.k,
+                                      block_measure.lengths, 1)
     for i in range(5):
         target = int(max(spawned(17, i).normal(moments.mean, moments.std), 0.0))
         assert mfng.fast_sample(n, block_measure, rng=spawned(17, i)).edge_count == target
@@ -387,11 +390,24 @@ def test_fast_does_not_stall_while_it_still_places_edges(block_measure):
     # At a high accuracy almost every box places nothing, so runs of more
     # than 10 000 empty boxes fall inside rounds that still place edges.
     n, meas = 100, mfng.make_measure(block_measure.lengths, block_measure.probs, k=12)
-    moments = _target_edge_moments(n, [meas.probs] * meas.k, meas.lengths)
+    moments = _edge_moments_of_levels(n, [meas.probs] * meas.k, meas.lengths, 1)
     for seed in range(8):
         target = int(max(np.random.default_rng(seed).normal(moments.mean, moments.std), 0.0))
         g = mfng.fast_sample(n, meas, np.random.default_rng(seed), accuracy=4000)
         assert g.edge_count == target > 0
+
+
+def test_fast_samplers_refuse_an_accuracy_beyond_the_box_budget(block_measure, monkeypatch):
+    # accuracy * E[edges] boxes is far beyond the budget: the run is refused
+    # before any box is drawn, where it once ran without end.
+    def no_box_draws(*args, **kwargs):
+        raise AssertionError("a box was drawn")
+
+    monkeypatch.setattr(QTable, "sample_pairs", no_box_draws)
+    with pytest.raises(TooLargeError, match="box draws"):
+        mfng.fast_sample(300, block_measure, np.random.default_rng(0), accuracy=1e300)
+    with pytest.raises(TooLargeError, match="box draws"):
+        mfng.noisy_sample(300, block_measure, 0.05, np.random.default_rng(0), accuracy=1e300)
 
 
 def test_fast_config_validation(block_measure):
@@ -444,9 +460,33 @@ def test_seed_to_graph_mapping_is_pinned(spec, n, noise, accuracy, edges, digest
     assert (g.edge_count, hashlib.sha256(g.edge_array().tobytes()).hexdigest()) == (edges, digest)
 
 
+_SAMPLERS = {
+    "naive": mfng.naive_sample,
+    "fast": mfng.fast_sample,
+    "fast-accuracy-4": lambda n, meas, rng: mfng.fast_sample(n, meas, rng, accuracy=4.0),
+    "noisy": lambda n, meas, rng: mfng.noisy_sample(n, meas, 0.05, rng),
+    "intersection": lambda n, meas, rng: mfng.sample_by_intersection(
+        n, make_noise_schedule(meas, 0.05, rng).level_matrices, meas.lengths, rng),
+}
+
+
+@pytest.mark.parametrize("spec", [_BLOCK_K10, _DENSE_CORE], ids=["block", "dense-core"])
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("sample", _SAMPLERS.values(), ids=_SAMPLERS)
+def test_samplers_hand_graph_its_sorted_keys(sample, n, spec):
+    # Graph(n, keys) checks nothing, so every sampler must build its form:
+    # strictly increasing int64 keys u * n + v with u < v < n.
+    g = sample(n, mfng.make_measure(*spec[:2], k=spec[2]), np.random.default_rng(5))
+    keys, edges = g._keys, g.edge_array()
+    assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+    assert np.all((0 <= edges[:, 0]) & (edges[:, 0] < edges[:, 1]) & (edges[:, 1] < n))
+    assert g == Graph.from_pairs(n, edges)
+    assert np.array_equal(g.degrees(), np.bincount(edges.ravel(), minlength=n))
+
+
 def test_target_moments_match_constant_schedule(block_measure):
-    got = _target_edge_moments(
-        1500, [block_measure.probs] * block_measure.k, block_measure.lengths)
+    got = _edge_moments_of_levels(
+        1500, [block_measure.probs] * block_measure.k, block_measure.lengths, 1)
     em = mfng.edge_moments(block_measure, 1500)
     assert math.isclose(got.mean, em.mean, rel_tol=1e-12)
     assert math.isclose(got.std, em.std, rel_tol=1e-12)
