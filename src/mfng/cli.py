@@ -290,9 +290,8 @@ def cmd_features(args) -> int:
 def cmd_degree_dist(args) -> int:
     graph = from_edge_list(read_edge_list(args.graph))
     dist = degree_distribution(graph)
-    ccdf = dist.ccdf() if dist.node_count else np.zeros(1)  # the empty graph's row reads 0
     rows = [(str(d), str(count), _fmt(c))
-            for d, (count, c) in enumerate(zip(dist.counts.tolist(), ccdf.tolist()))]
+            for d, (count, c) in enumerate(zip(dist.counts.tolist(), dist.ccdf().tolist()))]
     with open(args.out, "w", encoding="utf-8") as fh:
         _emit_table(rows, ("degree", "count", "ccdf"), "csv", fh)
     sys.stdout.write(f"wrote {dist.counts.size} degree rows to {args.out}\n")

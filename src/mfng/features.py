@@ -39,18 +39,32 @@ class Graph:
     unique, plus the degree vector computed once at construction.  No
     self-loops, no multi-edges.  ``neighbors`` is a scan over the keys.
 
-    The constructor ``Graph(n, keys)`` trusts its input and checks nothing:
-    ``keys`` must be a strictly increasing int64 array of ``u * n + v`` with
-    0 <= u < v < n.  The samplers build that array directly;
-    :meth:`from_pairs` makes it from (u, v) rows that come from outside.
+    The constructor ``Graph(n, keys)`` takes that form as it is: ``keys``
+    must be a 1-D integer array of ``u * n + v``, strictly increasing, with
+    0 <= u < v < n, and anything else raises ``DomainError``.  The samplers
+    build that array directly; :meth:`from_pairs` makes it from (u, v) rows
+    that come from outside.
     """
 
     __slots__ = ("_n", "_keys", "_degrees")
 
-    def __init__(self, n: int, keys: np.ndarray):
-        self._n = int(n)
-        self._keys = keys
-        u, v = divmod(keys, np.int64(n))
+    def __init__(self, n: int, keys):
+        n, arr = int(n), np.asarray(keys)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise DomainError(
+                f"edge keys must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}")
+        arr = arr.astype(np.int64, copy=False)
+        if n < 0:
+            raise DomainError(f"a graph needs n >= 0 nodes, got {n}")
+        if arr.size and (arr[0] < 0 or arr[-1] >= n * n):
+            raise DomainError(f"edge keys must lie in [0, n * n) for n = {n}")
+        if np.any(arr[1:] <= arr[:-1]):
+            raise DomainError("edge keys must be strictly increasing")
+        u, v = divmod(arr, np.int64(n))
+        if np.any(u >= v):
+            raise DomainError("edge keys must encode pairs u < v")
+        self._n = n
+        self._keys = arr
         self._degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         self._degrees.flags.writeable = False
 
@@ -333,9 +347,10 @@ class DegreeDistribution:
     counts: np.ndarray
 
     def ccdf(self) -> np.ndarray:
-        """ccdf[d] = fraction of nodes with degree >= d (ccdf[0] == 1)."""
+        """ccdf[d] = fraction of nodes with degree >= d, one value per entry
+        of ``counts``: ccdf[0] == 1, and the empty graph's one value is 0."""
         if self.node_count == 0:
-            return np.zeros(0)
+            return np.zeros(self.counts.size)
         tail = np.cumsum(self.counts[::-1])[::-1]
         return tail / float(self.node_count)
 

@@ -16,8 +16,12 @@ One exact sampler and one approximate one:
   variance are ``measure``'s edge moments over the level matrices, each at
   depth 1.  A run whose expected box count, accuracy times the expected
   edge count, is beyond ``_MAX_EXPECTED_BOXES`` raises ``TooLargeError``
-  before any draw.  The category-box lookups and the placement's
-  membership tests search their queries in sorted order;
+  before any draw.  A box's pair of category tuples is drawn a group of
+  levels at a time: each group's table is the Kronecker product of its
+  levels' edge masses, within ``_MAX_GROUP_CELLS`` cells unless it is one
+  level, and one uniform picks a cell from its alias table in O(1).  The
+  category-box lookups and the placement's membership tests search their
+  queries in sorted order;
   ``tests/test_sampler.py`` pins the graph each seed gives.
 
 Both samplers build a ``Graph``'s own form, the sorted edge keys
@@ -167,26 +171,70 @@ def sample_by_intersection(
 # fast approximate sampler
 # ---------------------------------------------------------------------------
 
+# A group of levels is drawn from one table of at most this many cells.
+_MAX_GROUP_CELLS = 1024
+
+
+def _level_groups(m: int, k: int) -> list[slice]:
+    """Split k levels into consecutive groups of the largest size g whose
+    table, m^(2g) cells, stays within ``_MAX_GROUP_CELLS`` (a single level
+    when even one level is larger), the last group taking what is left.
+    g is capped at k, since at m = 1 every size fits."""
+    g = 1
+    while g < k and m ** (2 * (g + 1)) <= _MAX_GROUP_CELLS:
+        g += 1
+    return [slice(start, min(start + g, k)) for start in range(0, k, g)]
+
+
 @dataclass(frozen=True)
 class QTable:
-    """Per-level edge-mass table Q_ij = p_ij * l_i * l_j.
+    """Alias table of the edge mass of a group of g levels.
 
-    ``cum`` is the mass of the cells up to and including (i, j) in row-major
-    order over the level's total, ready for inverse-CDF draws of an ordered
-    category pair; its last cell is exactly one.
+    The group's mass is the Kronecker product of its levels' Q tables
+    Q_ij = p_ij * l_i * l_j: cell ``c = I * width + J`` of its K = width^2
+    cells, width = m^g, is an ordered pair of category tuples I, J of the g
+    levels, codes base m with the group's first level most significant.
+    ``lengths[I]`` is the product of the tuple's lengths.  A draw of a cell
+    is one lookup (Walker 1977; Vose 1991): ``x = u * K`` for a uniform u,
+    ``c = min(floor(x), K - 1)``, and the cell is c when ``x - c < prob[c]``,
+    else ``alias[c]``.  The clamp only guards the index: for every u < 1,
+    x rounds to below K.  A zero-mass cell has ``prob`` 0 and is no cell's
+    alias.
     """
 
-    cum: np.ndarray
+    prob: np.ndarray
+    alias: np.ndarray
+    lengths: np.ndarray
+    width: int
 
     def sample_pairs(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.searchsorted(self.cum.ravel(), rng.random(size), side="right")
-        return np.divmod(flat, self.cum.shape[1])
+        x = rng.random(size) * self.prob.size
+        c = np.minimum(x.astype(np.int64), self.prob.size - 1)
+        return np.divmod(np.where(x - c < self.prob[c], c, self.alias[c]), self.width)
 
 
-def build_q(probs: np.ndarray, lengths: np.ndarray) -> QTable:
-    """Build the edge-mass table of one level matrix with positive mass."""
-    cum = np.cumsum(probs * lengths[:, None] * lengths[None, :])
-    return QTable(cum=(cum / cum[-1]).reshape(probs.shape))
+def build_q(matrices: Sequence[np.ndarray], lengths: np.ndarray) -> QTable:
+    """Build the alias table of a group of consecutive level matrices, each
+    with positive mass."""
+    mass, group_lengths = np.ones((1, 1)), np.ones(1)
+    for p in matrices:
+        mass = np.kron(mass, p * lengths[:, None] * lengths[None, :])
+        group_lengths = np.kron(group_lengths, lengths)
+    # Vose's construction: scaled to a mean of one, each cell below one is
+    # topped up from a cell above one, which becomes its alias.
+    q = (mass.ravel() * (mass.size / mass.sum())).tolist()
+    prob, alias = [1.0] * len(q), list(range(len(q)))
+    small = [c for c, x in enumerate(q) if x < 1.0]
+    large = [c for c, x in enumerate(q) if x >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        prob[s], alias[s] = q[s], big
+        q[big] -= 1.0 - q[s]
+        if q[big] < 1.0:
+            small.append(large.pop())
+    # Cells left in either list hold one up to rounding and keep prob 1.
+    return QTable(prob=np.array(prob), alias=np.array(alias, dtype=np.int64),
+                  lengths=group_lengths, width=group_lengths.size)
 
 
 def fast_sample(
@@ -214,10 +262,11 @@ def _fast_sample_levels(
     """The box-dropping generator over one probability matrix per level.
 
     Edges are placed in rounds.  A round draws a batch of boxes (ordered
-    pairs of category tuples) level by level from the Q tables, gives each
-    box a Poisson number of edges, capped at the box's distinct node pairs,
-    and then runs retry passes: every box that still misses edges draws one
-    candidate pair per missing edge, until it has its count or has spent
+    pairs of category tuples) a group of levels at a time, one alias-table
+    lookup per box and group (see ``QTable``), gives each box a Poisson
+    number of edges, capped at the box's distinct node pairs, and then runs
+    retry passes: every box that still misses edges draws one candidate
+    pair per missing edge, until it has its count or has spent
     ``_MAX_ATTEMPTS_PER_BOX`` draws.  A candidate is kept unless it is a
     self-pair, an edge of an earlier round, or a pair already taken in this
     round; within one pass the earliest box wins.  Edges count in box order
@@ -244,7 +293,7 @@ def _fast_sample_levels(
     if target == 0:
         return Graph.empty(n)
     # A positive target means every level's pair survival, its Q mass, is positive.
-    tables = [build_q(p, lengths) for p in matrices]
+    tables = [build_q(matrices[group], lengths) for group in _level_groups(m, k)]
     # A box places an edge about 1/accuracy as often, so runs of boxes that
     # place nothing grow with accuracy; below 1 they do not shrink, since
     # empty category boxes stay empty.
@@ -260,8 +309,8 @@ def _fast_sample_levels(
         l_u = l_v = np.ones(boxes)
         for table in tables:
             i, j = table.sample_pairs(rng, boxes)
-            code_u, code_v = code_u * m + i, code_v * m + j
-            l_u, l_v = l_u * lengths[i], l_v * lengths[j]
+            code_u, code_v = code_u * table.width + i, code_v * table.width + j
+            l_u, l_v = l_u * table.lengths[i], l_v * table.lengths[j]
         start_u, cnt_u = index.lookup(code_u)
         start_v, cnt_v = index.lookup(code_v)
 

@@ -1,9 +1,24 @@
-"""Shared fixtures: reference measures and a random-measure helper."""
+"""Shared fixtures: reference measures and a random-measure helper, and a
+per-test time limit."""
+
+import faulthandler
 
 import numpy as np
 import pytest
 
 import mfng
+
+# A test that runs this long is stuck: its stack is printed and the run ends,
+# instead of hanging.  The slowest test takes well under a minute.
+_TEST_TIME_LIMIT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def _fail_instead_of_hanging():
+    faulthandler.dump_traceback_later(_TEST_TIME_LIMIT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 # Two-category block measure used throughout the sampling and fitting tests.
 BLOCK_LENGTHS = (0.25, 0.75)

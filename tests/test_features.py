@@ -122,6 +122,35 @@ def test_int64_pairs_are_taken_without_a_copy():
     assert mfng.features._id_pairs(pairs) is pairs
 
 
+@pytest.mark.parametrize("n, keys", [
+    (3, np.array([1, 1, 2])),  # a repeat: once a multi-edge with S2 = 4
+    (3, np.array([7, 1])),  # out of order: once an edge with u > v
+    (3, np.array([2, 1])),
+    (3, np.array([3])),  # 3 = 1 * 3 + 0 is the pair (1, 0)
+    (3, np.array([4])),  # a self-loop (1, 1)
+    (2, np.array([5])),  # beyond n * n: once numpy's untyped ValueError
+    (3, np.array([-1, 2])),
+    (3, np.array([1.0, 2.0])),  # float keys: once a TypeError
+    (3, np.array([[1, 2]])),
+    (3, np.array([True])),
+    (3, [2 ** 70]),
+    (-1, np.empty(0, dtype=np.int64)),
+])
+def test_graph_rejects_keys_that_are_not_its_form(n, keys):
+    with pytest.raises(DomainError):
+        Graph(n, keys)
+
+
+def test_graph_takes_its_form_as_it_is():
+    keys = np.array([1, 2, 5], dtype=np.int64)
+    g = Graph(3, keys)
+    assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert g.degrees().tolist() == [2, 2, 2]
+    assert Graph(3, [1, 2, 5]) == g
+    assert Graph(3, np.array([1, 2, 5], dtype=np.uint8)) == g
+    assert Graph(3, []) == Graph.empty(3) and Graph(0, []) == Graph.empty(0)
+
+
 def test_from_pairs_keeps_isolated_nodes():
     g = Graph.from_pairs(5, np.array([[0, 1]]))
     assert g.n == 5
@@ -328,6 +357,14 @@ def test_degree_distribution_counts_and_ccdf():
     assert math.isclose(ccdf[1], 1.0)     # no isolated nodes here
     assert math.isclose(ccdf[3], 0.25)
     assert np.all(np.diff(ccdf) <= 0)
+
+
+def test_degree_distribution_of_the_empty_graph():
+    dist = mfng.degree_distribution(Graph.empty(0))
+    assert dist.counts.tolist() == [0]
+    assert dist.ccdf().tolist() == [0.0]
+    edgeless = mfng.degree_distribution(Graph.empty(3))
+    assert edgeless.counts.tolist() == [3] and edgeless.ccdf().tolist() == [1.0]
 
 
 def test_degree_distribution_counts_sum_to_n():

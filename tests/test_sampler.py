@@ -23,6 +23,7 @@ from mfng.sampler import (
     CategoryIndex,
     QTable,
     _draw_levels,
+    _level_groups,
     build_q,
     encode_categories,
     make_noise_schedule,
@@ -230,28 +231,8 @@ def test_intersection_rejects_a_ragged_matrix():
 
 
 # ---------------------------------------------------------------------------
-# edge-mass table
+# group tables
 # ---------------------------------------------------------------------------
-
-def test_build_q_values(block_measure_k4):
-    table = build_q(block_measure_k4.probs, block_measure_k4.lengths)
-    lengths = block_measure_k4.lengths
-    mass = block_measure_k4.probs * np.outer(lengths, lengths)
-    want = np.cumsum(mass) / mfng.edge_survival_factor(block_measure_k4)
-    assert table.cum.shape == (2, 2)
-    assert np.allclose(table.cum.ravel(), want, rtol=1e-12)
-    assert table.cum[-1, -1] == 1.0
-
-
-def test_q_table_sampling_respects_mass():
-    # diagonal mass only: off-diagonal cells must never be drawn
-    meas = mfng.make_measure([0.5, 0.5], [[0.4, 0.0], [0.0, 0.4]], k=1)
-    table = build_q(meas.probs, meas.lengths)
-    i, j = table.sample_pairs(np.random.default_rng(4), 4000)
-    assert np.all(i == j)
-    frac_zero = float((i == 0).mean())
-    assert abs(frac_zero - 0.5) < 0.04
-
 
 class FixedUniforms:
     """Stands in for a generator whose ``random(size)`` returns given values."""
@@ -264,35 +245,128 @@ class FixedUniforms:
         return self.values
 
 
-@pytest.mark.parametrize("lengths, probs", [
+_TABLE_CASES = [
     ([1.0], [[0.3]]),
     ([0.25, 0.75], [[0.0, 0.43], [0.43, 0.78]]),  # zero-mass first cell
     ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.0], [0.5, 0.7, 0.0], [0.0, 0.0, 0.0]]),  # zero last row
     ([0.2, 0.3, 0.5], np.diag([0.4, 0.0, 0.6])),  # diagonal mass only
     # m = 5 with zero-mass first and last cells
     ([0.1, 0.2, 0.3, 0.15, 0.25], np.full((5, 5), 0.5) - np.diag([0.5, 0, 0, 0, 0.5])),
-])
-def test_q_table_draw_is_the_inverse_cdf_cell(lengths, probs):
-    table = build_q(np.asarray(probs, dtype=float), np.asarray(lengths))
-    m = table.cum.shape[0]
-    bounds = table.cum.ravel()
-    # random uniforms, then every bound itself (ties go right) and zero
-    for u in (np.random.default_rng(m).random(5000), np.append(bounds[bounds < 1.0], 0.0)):
-        i, j = table.sample_pairs(FixedUniforms(u), u.size)
-        want_i, want_j = np.divmod(np.searchsorted(bounds, u, side="right"), m)
-        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
-        assert np.all(bounds[i * m + j] > u)
+]
+
+
+def group_of(lengths, probs, k=10):
+    """The first group of k levels and its table: 10 levels at m = 1, 5 at
+    m = 2 (1024 cells), 3 at m = 3 (729 cells), 2 at m = 5.  Level r's
+    matrix is probs ** (1 + r / 2): zero cells stay zero, and the levels
+    differ in shape, so the table's level order shows."""
+    lengths, probs = np.asarray(lengths, dtype=float), np.asarray(probs, dtype=float)
+    group = _level_groups(lengths.size, k)[0]
+    matrices = [probs ** (1.0 + r / 2.0) for r in range(group.stop)]
+    return matrices, lengths, build_q(matrices, lengths)
+
+
+def group_mass(matrices, lengths):
+    """Normalised mass of every cell I * m^g + J, one product per cell over
+    the levels' digits of I and J, first level most significant."""
+    m, g = lengths.size, len(matrices)
+    tuple_i, tuple_j = np.divmod(np.arange(m ** (2 * g)), m ** g)
+    digits_i, digits_j = decode_categories(tuple_i, m, g), decode_categories(tuple_j, m, g)
+    mass = np.ones(tuple_i.size)
+    for r, p in enumerate(matrices):
+        i, j = digits_i[:, r], digits_j[:, r]
+        mass *= p[i, j] * lengths[i] * lengths[j]
+    return mass / mass.sum()
+
+
+def test_build_q_values():
+    for lengths, probs in _TABLE_CASES:
+        matrices, lengths, table = group_of(lengths, probs)
+        m, g = lengths.size, len(matrices)
+        size = table.prob.size
+        assert table.width == m ** g and size == table.width ** 2 <= 1024
+        assert np.all((0 <= table.prob) & (table.prob <= 1))
+        # Cell c is drawn from its own slot with prob[c], and from slot j
+        # with 1 - prob[j] wherever alias[j] == c.
+        implied = (table.prob + np.bincount(table.alias, weights=1.0 - table.prob,
+                                            minlength=size)) / size
+        want = group_mass(matrices, lengths)
+        assert np.array_equal(implied == 0, want == 0)
+        assert np.allclose(implied, want, rtol=1e-12, atol=0.0)
+        digits = decode_categories(np.arange(table.width), m, g)
+        assert np.allclose(table.lengths, np.prod(lengths[digits], axis=1),
+                           rtol=1e-15, atol=0.0)
+
+
+def test_q_table_sampling_respects_mass():
+    # A zero-mass cell is never drawn: not for random uniforms, 0, every
+    # slot's left edge c / K, nor the largest uniform below one, at K = 729
+    # among others.
+    sizes = set()
+    for lengths, probs in _TABLE_CASES:
+        matrices, lengths, table = group_of(lengths, probs)
+        mass = group_mass(matrices, lengths)
+        size = table.prob.size
+        sizes.add(size)
+        for u in (np.random.default_rng(size).random(5000), np.array([0.0]),
+                  np.arange(size) / size, np.array([np.nextafter(1.0, 0.0)])):
+            i, j = table.sample_pairs(FixedUniforms(u), u.size)
+            assert np.all(mass[i * table.width + j] > 0)
+    assert sizes == {1, 1024, 729, 625}
+
+
+@pytest.mark.parametrize("lengths, probs", _TABLE_CASES)
+def test_q_table_draw_is_the_alias_cell(lengths, probs):
+    _, _, table = group_of(lengths, probs)
+    size = table.prob.size
+    u = np.concatenate([np.random.default_rng(size).random(400), np.arange(size) / size,
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    want = []
+    for x in (u * size).tolist():
+        c = min(math.floor(x), size - 1)
+        want.append(c if x - c < table.prob[c] else table.alias[c])
+    i, j = table.sample_pairs(FixedUniforms(u), u.size)
+    assert i.dtype == j.dtype == np.int64
+    assert np.array_equal(i * table.width + j, want)
 
 
 def test_q_table_cell_frequencies_follow_mass(three_cat_measure):
     meas, draws = three_cat_measure, 60_000
-    table = build_q(meas.probs, meas.lengths)
+    matrices = [meas.probs] * meas.k
+    table = build_q(matrices, meas.lengths)
+    assert table.prob.size == 729
     i, j = table.sample_pairs(np.random.default_rng(6), draws)
-    freq = np.bincount(i * meas.m + j, minlength=meas.m ** 2) / draws
-    mass = (meas.probs * np.outer(meas.lengths, meas.lengths)).ravel()
-    want = mass / mass.sum()
+    freq = np.bincount(i * table.width + j, minlength=table.prob.size) / draws
+    want = group_mass(matrices, meas.lengths)
     se = np.sqrt(want * (1.0 - want) / draws)
     assert np.all(np.abs(freq - want) < 4.5 * se)
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 40)] + [
+    (m, k) for m in (2, 3, 40) for k in (1, 2, 3, 5, 6, 19, 40)])
+def test_level_groups_partition_the_levels_within_the_cell_budget(m, k):
+    groups = _level_groups(m, k)
+    assert [r for group in groups for r in range(k)[group]] == list(range(k))
+    sizes = [group.stop - group.start for group in groups]
+    assert all(size > 0 for size in sizes)
+    assert all(m ** (2 * size) <= 1024 or size == 1 for size in sizes)
+    # Only the last group may be smaller than the first.
+    assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
+
+
+def test_level_groups_of_the_benchmark_shape():
+    def sizes(m, k):
+        return [group.stop - group.start for group in _level_groups(m, k)]
+
+    assert sizes(2, 19) == [5, 5, 5, 4]
+    assert sizes(3, 7) == [3, 3, 1]
+    assert sizes(1, 40) == [40]
+    assert sizes(40, 2) == [1, 1]
+
+
+def test_fast_single_category_over_many_levels_returns():
+    g = mfng.fast_sample(2, mfng.make_measure([1.0], [[1.0]], k=40), np.random.default_rng(0))
+    assert g.edge_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +514,15 @@ _DENSE_CORE = ([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], 3)
 
 @pytest.mark.parametrize("spec, n, noise, accuracy, edges, digest", [
     (_BLOCK_K10, 2000, None, 1.0, 21946,
-     "d06763eea6acd4b73b569d06fa93c8962921af4ec5701ad626aa9cb4a0d9c415"),
+     "dcd4c5db0ffd4a697965e485954023311eadcd35eeaa3708f5fe3cac471e9ccb"),
     (_BLOCK_K10, 2000, None, 4.0, 21946,
-     "9d416e999152326eefa3b4b7421f9d1505d86164f9c2dce9a90758333892fd51"),
+     "dcdfca86053420fdfba64d69104c7eafc004d2dc57dda412a3f9d99e0268b3cc"),
     (_BLOCK_K10, 2000, 0.05, 1.0, 21306,
-     "a3e9c6c30813fea7dd7ef07ec57604aab6f64467c2a87599ddb0c9dfbee35924"),
+     "37c3f87d018e8da02d3f1166736958f4ef90ad1d9004131972f08cbd8ea2e60c"),
     (_THREE_CAT, 2000, None, 1.0, 206221,
-     "8572753865a383eb5731c87c628e3d88449973434f9ea929adf866a95e9a2f70"),
+     "4cd9de407ca9ca1c12bde8b256aab52a2b5cfdde982e11e51f32dbb954b6e1fd"),
     (_DENSE_CORE, 400, None, 1.0, 1896,
-     "14bbbba37f8572b0d11ea97eb3c078fd362dae81c846d248b5ac93a26ce7de97"),
+     "0429fa4ccdaee2746994aa3b01914272b27b03f2f59d1e0c63f4a8c359566c64"),
 ], ids=["fast-accuracy-1", "fast-accuracy-4", "noisy-b-0.05", "fast-m-3", "fast-dense-core"])
 def test_seed_to_graph_mapping_is_pinned(spec, n, noise, accuracy, edges, digest):
     meas = mfng.make_measure(*spec[:2], k=spec[2])
@@ -474,8 +548,8 @@ _SAMPLERS = {
 @pytest.mark.parametrize("n", [1, 2, 300])
 @pytest.mark.parametrize("sample", _SAMPLERS.values(), ids=_SAMPLERS)
 def test_samplers_hand_graph_its_sorted_keys(sample, n, spec):
-    # Graph(n, keys) checks nothing, so every sampler must build its form:
-    # strictly increasing int64 keys u * n + v with u < v < n.
+    # Every sampler builds a graph's form, strictly increasing int64 keys
+    # u * n + v with u < v < n, which Graph(n, keys) takes as it is.
     g = sample(n, mfng.make_measure(*spec[:2], k=spec[2]), np.random.default_rng(5))
     keys, edges = g._keys, g.edge_array()
     assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
