@@ -293,8 +293,8 @@ def _scorer(target: FeatureVector, n: int):
     def score(probs: np.ndarray, lengths: np.ndarray, depths: np.ndarray) -> np.ndarray:
         # exp overflowing to inf is caught below.
         with np.errstate(over="ignore"):
-            expected = np.exp(_log_expected(
-                log_placements, depths, _level_bases(probs, lengths, features)))
+            expected = np.exp(_log_expected(  # each lane is one level
+                log_placements, depths, _level_bases(probs, lengths, features)[..., None]))
             loss = (np.abs(counts - expected) / counts).sum(axis=1)
         return np.where(np.isfinite(expected).all(axis=1), loss, np.inf)
 

@@ -7,21 +7,22 @@ receives one category per level, and a pair of nodes is linked with the
 product of the per-level probabilities of their category pair.
 
 Because the levels are independent, the probability that any fixed set of
-node pairs is fully present equals the depth-1 probability of that pattern
-raised to the k-th power.  All expectations below are built from that fact:
-a per-level pattern survival factor, taken to the k-th power, times the
-number of ways to place the pattern.  Binomial placement counts are kept in
-log space so that the astronomically large counts of, say, 4-stars on 10^5
-nodes never overflow.
+node pairs is fully present is the product over levels of that level's
+probability of the pattern.  All expectations below are built from that
+fact: per-level pattern survival factors, multiplied over the levels, times
+the number of ways to place the pattern.  Binomial placement counts are
+kept in log space so that the astronomically large counts of, say, 4-stars
+on 10^5 nodes never overflow.
 
-One engine computes them all.  ``_level_bases`` is the only code that
-computes per-level survivals, for a stack of measures (lanes), and
-``_log_expected`` is the one log-space step, log placements + depth * log
-base.  The public closed forms are its one-lane case, and the fit's
-objective evaluates many measures in one call.  ``_edge_moments_of_levels``
-is the one edge-moment function: it sums per-level logs over one matrix per
-level, so ``edge_moments`` is a measure's matrix at depth k and the
-sampler's edge target its k level matrices at depth 1.
+Every closed form reads its model as (level matrices, lengths, depth): a
+measure is its one matrix taken k times, and a :class:`NoiseSchedule` its k
+level matrices taken once each.  ``_level_survivals`` is that one reader,
+``_level_bases`` the only code that computes per-level survivals, for a
+stack of lanes, and ``_log_expected`` the one log-space step, log
+placements + depth * (sum over levels of log base).  The public closed
+forms read one model, and the fit's objective evaluates many measures, one
+level each, in one call.  ``edge_moments`` of a schedule of k copies of a
+measure's matrix is the fast sampler's edge target.
 """
 
 from __future__ import annotations
@@ -96,6 +97,31 @@ class GeneratingMeasure:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "probs", probs)
+
+
+@dataclass(frozen=True)
+class NoiseSchedule:
+    """One link-probability matrix per recursion level over one length vector.
+
+    ``offsets[r]`` is the draw that perturbed level r's matrix (see
+    ``sampler.make_noise_schedule``; 0 for a level left as the measure's).
+    Construction checks ``lengths`` and every matrix as
+    :class:`GeneratingMeasure` does, keeps float copies, and raises
+    ``DomainError`` when there is no level.  The closed forms read a
+    schedule as its level matrices, each taken once.
+    """
+
+    level_matrices: tuple[np.ndarray, ...]
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        lengths = _check_lengths(self.lengths)
+        matrices = tuple(_check_probs(p, lengths.size) for p in self.level_matrices)
+        if not matrices:
+            raise DomainError("need at least one level matrix")
+        object.__setattr__(self, "level_matrices", matrices)
+        object.__setattr__(self, "lengths", lengths)
 
 
 @dataclass(frozen=True)
@@ -202,10 +228,11 @@ def max_depth(m: int) -> int:
 
 
 def _as_floats(values, error: type[MeasureValidationError], what: str) -> np.ndarray:
-    """values as a new float array; ragged or non-numeric input raises error."""
+    """values as a new float array; ragged, non-numeric or out-of-float-range
+    input raises error."""
     try:
         return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
 
 
@@ -263,7 +290,20 @@ def _check_depth(k, m: int) -> int:
 
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
     """Per-level probability that one node pair survives: sum p_ij l_i l_j."""
-    return float(_measure_bases(measure, [("edges", 0)])[0])
+    return _level_survivals(measure, [("edges", 0)])[0].item()
+
+
+def _level_survivals(model: GeneratingMeasure | NoiseSchedule,
+                     features: Sequence[tuple[str, int]]) -> tuple[np.ndarray, int]:
+    """The one reader of a model: each feature's survival at each of its
+    levels, a C-ordered (features, levels) array, and the depth every level
+    is taken, a measure's k for its one matrix and 1 for each of a
+    schedule's.  Each row's level sum then takes the same steps whatever
+    other features are asked for."""
+    matrices, depth = ((model.level_matrices, 1) if isinstance(model, NoiseSchedule)
+                       else ((model.probs,), model.k))
+    lengths = np.broadcast_to(model.lengths, (len(matrices), model.lengths.size))
+    return np.ascontiguousarray(_level_bases(np.stack(matrices), lengths, features).T), depth
 
 
 def _level_bases(probs: np.ndarray, lengths: np.ndarray,
@@ -300,12 +340,6 @@ def _level_bases(probs: np.ndarray, lengths: np.ndarray,
             d = order if kind == "star" else 1  # an edge is a 2-clique is a 1-star
             columns.append((lengths * row ** d).sum(axis=1))
     return np.stack(columns, axis=-1)
-
-
-def _measure_bases(measure: GeneratingMeasure,
-                   features: Sequence[tuple[str, int]]) -> np.ndarray:
-    """:func:`_level_bases` of one measure, as a one-lane stack."""
-    return _level_bases(measure.probs[None], measure.lengths[None], features)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,13 +391,14 @@ def _log_placements(kind: str, order: int, n: int) -> float:
 
 
 def _log_expected(log_placements, depths, bases: np.ndarray) -> np.ndarray:
-    """log placements + depth * log base, elementwise: the log of every
-    expectation.  A base of zero gives -inf, an expectation of zero."""
+    """log placements + depth * (sum of log base over the last axis, the
+    levels): the log of every expectation.  A base of zero gives -inf, an
+    expectation of zero."""
     with np.errstate(divide="ignore"):
-        return log_placements + depths * np.log(bases)
+        return log_placements + depths * np.log(bases).sum(axis=-1)
 
 
-def _expected(measure: GeneratingMeasure, n: int,
+def _expected(model: GeneratingMeasure | NoiseSchedule, n: int,
               features: Sequence[tuple[str, int]]) -> np.ndarray:
     """Expected count of each ``(kind, order)`` feature on n nodes.
 
@@ -371,9 +406,9 @@ def _expected(measure: GeneratingMeasure, n: int,
     feature and n.
     """
     log_placements = np.array([_log_placements(kind, order, n) for kind, order in features])
+    bases, depth = _level_survivals(model, features)
     with np.errstate(over="ignore"):
-        values = np.exp(_log_expected(log_placements, measure.k,
-                                      _measure_bases(measure, features)))
+        values = np.exp(_log_expected(log_placements, depth, bases))
     for feature, value in zip(features, values):
         if not math.isfinite(value):
             raise OverflowError(
@@ -403,13 +438,11 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     return float(_expected(measure, n, [("clique", t)])[0])
 
 
-def _edge_moments_of_levels(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray,
-                            depth: int) -> EdgeMoments:
-    """Edge-count moments on n nodes of one probability matrix per level,
-    each level taken ``depth`` times: a measure is its one matrix at depth
-    k, the sampler's schedule its k matrices at depth 1.  Every level's
-    pair survival s_r and wedge excess d_r = w_r - s_r**2 (w_r the wedge
-    survival) come from :func:`_level_bases`, and their logs are summed.
+def _edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMoments:
+    """Edge-count moments on n nodes.  Every level's pair survival s_r and
+    wedge excess d_r = w_r - s_r**2 (w_r the wedge survival) come from
+    :func:`_level_survivals`, and their logs are summed, each level taken
+    its depth times.
 
     With S = prod s_r and W = prod w_r, a pair covaries with itself and with
     the n(n-1)(n-2) ordered pairs that share one node with it, so the
@@ -418,13 +451,10 @@ def _edge_moments_of_levels(n: int, matrices: Sequence[np.ndarray], lengths: np.
     W - S**2 = S**2 * expm1(sum_r log1p(d_r / s_r**2)) with d_r summed from
     squares.  A pair that cannot survive (S = 0) gives moments (0, 0, 0).
     """
-    levels = len(matrices)
-    bases = _level_bases(np.stack(matrices), np.broadcast_to(lengths, (levels, lengths.size)),
-                         (("edges", 0), ("wedge_excess", 2)))
-    pair, excess = bases[:, 0], bases[:, 1]
+    (pair, excess), depth = _level_survivals(model, (("edges", 0), ("wedge_excess", 2)))
     if not np.all(pair > 0.0):
         return EdgeMoments(mean=0.0, variance=0.0, std=0.0)
-    log_s = float(_log_expected(0.0, depth, pair).sum())
+    log_s = float(_log_expected(0.0, depth, pair))
     log_spread = depth * float(np.log1p(excess / pair / pair).sum())
     shared = 0.0
     try:
@@ -440,11 +470,12 @@ def _edge_moments_of_levels(n: int, matrices: Sequence[np.ndarray], lengths: np.
     return EdgeMoments(mean=mean, variance=variance, std=math.sqrt(variance))
 
 
-def edge_moments(measure: GeneratingMeasure, n: int) -> EdgeMoments:
-    """Edge-count mean and variance (see :func:`_edge_moments_of_levels`)."""
+def edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMoments:
+    """Edge-count mean and variance of a measure or a noise schedule (see
+    :func:`_edge_moments`)."""
     if n < 2:
         raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    return _edge_moments_of_levels(n, [measure.probs], measure.lengths, measure.k)
+    return _edge_moments(model, n)
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
@@ -503,21 +534,21 @@ def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEs
     cap = min(n, MAX_CLIQUE_ORDER)
     t_star = 1
     for t in range(2, cap + 1):
-        log_count = _log_expected(_log_placements("clique", t, n), measure.k,
-                                  _measure_bases(measure, [("clique", t)]))
-        if log_count[0] < 0.0:
+        bases, depth = _level_survivals(measure, [("clique", t)])
+        if _log_expected(_log_placements("clique", t, n), depth, bases)[0] < 0.0:
             break
         t_star = t
     capped = t_star == cap and cap < n
     return CliqueNumberEstimate(t_star=t_star, capped=capped)
 
 
-def expected_feature_vector(
-    measure: GeneratingMeasure, n: int, features: Sequence[str] = DEFAULT_FEATURES
-) -> FeatureVector:
-    """Evaluate several expectations at once; each entry equals the
-    single-feature operation's value exactly, since a feature's survival
-    and placements do not depend on the other features asked for."""
+def expected_feature_vector(model: GeneratingMeasure | NoiseSchedule, n: int,
+                            features: Sequence[str] = DEFAULT_FEATURES) -> FeatureVector:
+    """Evaluate several expectations of a measure or a noise schedule at
+    once; each entry equals the entry asked for alone exactly, and for a
+    measure the single-feature operation's value, since a feature's
+    survival and placements do not depend on the other features asked for.
+    No features give the empty vector."""
     keys = list(features)
-    values = _expected(measure, n, [parse_feature(key) for key in keys])
+    values = _expected(model, n, [parse_feature(key) for key in keys]) if keys else np.empty(0)
     return FeatureVector(dict(zip(keys, values.tolist())))

@@ -1,8 +1,11 @@
 """Brute-force reference values for the closed-form moment engine.
 
 Everything here is deliberately slow and independent: pattern probabilities
-come from enumerating all category tuples with plain Python arithmetic, and
-expectations multiply them by explicitly counted placements.  Degree
+come from enumerating all category tuples with plain Python arithmetic, one
+level at a time, and expectations multiply them by explicitly counted
+placements.  A measure's levels share one matrix, so its pattern
+probability is one level's to the k-th power; a noise schedule's is the
+product over its level matrices.  Degree
 counts unwind the star identity in exact rationals, and graph features are
 counted by checking every subset of nodes.  The Monte Carlo helper
 estimates the same quantities by sampling.  None of it reuses the formulas
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, GraphTooLargeError, PatternTooLargeError
 from .features import Graph, feature_vector
-from .measure import DEFAULT_FEATURES, FeatureVector, GeneratingMeasure, parse_feature
+from .measure import (DEFAULT_FEATURES, FeatureVector, GeneratingMeasure, NoiseSchedule,
+                      parse_feature)
 from .sampler import naive_sample
 
 # Pattern probabilities enumerate m**t tuples; five labelled nodes is plenty
@@ -43,7 +47,7 @@ BRUTE_FORCE_NODE_LIMIT = 14
 
 
 def exact_subgraph_probability(
-    measure: GeneratingMeasure,
+    model: GeneratingMeasure | NoiseSchedule,
     pattern: Iterable[tuple[int, int]],
     num_nodes: int | None = None,
 ) -> float:
@@ -51,8 +55,7 @@ def exact_subgraph_probability(
 
     The pattern is a set of pairs over labelled nodes 0..t-1; t is inferred
     from the largest label unless given.  Enumerates every category tuple at
-    one level and raises the mass-weighted pattern probability to the k-th
-    power.
+    each level (see :func:`_pattern_probability`).
     """
     pairs = []
     max_label = -1
@@ -71,19 +74,31 @@ def exact_subgraph_probability(
             f"pattern spans {t} nodes; enumeration is capped at {MAX_PATTERN_NODES}")
     if t == 0:
         return 1.0
-    return _pattern_survival(measure, pairs, t) ** measure.k
+    return _pattern_probability(model, pairs, t)
 
 
-def _pattern_survival(measure: GeneratingMeasure, pairs: Sequence[tuple[int, int]],
-                      t: int, number=float):
+def _pattern_probability(model: GeneratingMeasure | NoiseSchedule,
+                         pairs: Sequence[tuple[int, int]], t: int, number=float):
+    """Probability over every level that each pair of the pattern is
+    present: a measure's one-level survival to the k-th power, or the
+    product of a schedule's survivals at each of its level matrices."""
+    if isinstance(model, NoiseSchedule):
+        return math.prod((_pattern_survival(probs, model.lengths, pairs, t, number)
+                          for probs in model.level_matrices), start=number(1))
+    return _pattern_survival(model.probs, model.lengths, pairs, t, number) ** model.k
+
+
+def _pattern_survival(probs: np.ndarray, lengths: np.ndarray,
+                      pairs: Sequence[tuple[int, int]], t: int, number=float):
     """One level's probability that every pair of the pattern on t labelled
-    nodes is present: a plain-Python sum over all m**t category tuples of
-    the tuple's mass times the link probability of each pair, in ``number``
-    arithmetic (``Fraction`` makes it exact)."""
-    lengths = [number(x) for x in measure.lengths.tolist()]
-    probs = [[number(x) for x in row] for row in measure.probs.tolist()]
+    nodes is present, for that level's matrix ``probs``: a plain-Python sum
+    over all m**t category tuples of the tuple's mass times the link
+    probability of each pair, in ``number`` arithmetic (``Fraction`` makes
+    it exact)."""
+    lengths = [number(x) for x in lengths.tolist()]
+    probs = [[number(x) for x in row] for row in probs.tolist()]
     per_level = number(0)
-    for combo in itertools.product(range(measure.m), repeat=t):
+    for combo in itertools.product(range(len(lengths)), repeat=t):
         w = number(1)
         for c in combo:
             w *= lengths[c]
@@ -96,23 +111,23 @@ def _pattern_survival(measure: GeneratingMeasure, pairs: Sequence[tuple[int, int
 def star_survival_by_enumeration(measure: GeneratingMeasure, d: int) -> float:
     """Per-level survival of a d-star, by enumerating its m**(d+1) category
     tuples; no node cap, so keep m**(d+1) small."""
-    return _pattern_survival(measure, _star_pattern(d), d + 1)
+    return _pattern_survival(measure.probs, measure.lengths, _star_pattern(d), d + 1)
 
 
 def clique_survival_by_enumeration(measure: GeneratingMeasure, t: int) -> float:
     """Per-level survival of a t-clique, by enumerating its m**t category
     tuples; no node cap, so keep m**t small."""
-    return _pattern_survival(measure, _clique_pattern(t), t)
+    return _pattern_survival(measure.probs, measure.lengths, _clique_pattern(t), t)
 
 
-def exact_edge_variance(measure: GeneratingMeasure, n: int) -> Fraction:
-    """Edge-count variance in exact rationals of the measure's float
+def exact_edge_variance(model: GeneratingMeasure | NoiseSchedule, n: int) -> Fraction:
+    """Edge-count variance in exact rationals of the model's float
     parameters.  Each of the C(n,2) node pairs covaries with itself,
     S - S**2, and with each of the n(n-1)(n-2) ordered pairs that share one
     node with it, W - S**2; disjoint pairs are independent.  S and W are
     the pair and wedge probabilities, enumerated over category tuples."""
-    pair = _pattern_survival(measure, [(0, 1)], 2, Fraction) ** measure.k
-    wedge = _pattern_survival(measure, _star_pattern(2), 3, Fraction) ** measure.k
+    pair = _pattern_probability(model, [(0, 1)], 2, Fraction)
+    wedge = _pattern_probability(model, _star_pattern(2), 3, Fraction)
     return (math.comb(n, 2) * (pair - pair * pair)
             + n * (n - 1) * (n - 2) * (wedge - pair * pair))
 
@@ -125,32 +140,31 @@ def _clique_pattern(t: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(t), 2))
 
 
-def exact_expected_features(
-    measure: GeneratingMeasure, n: int, features: Sequence[str] = DEFAULT_FEATURES
-) -> FeatureVector:
+def exact_expected_features(model: GeneratingMeasure | NoiseSchedule, n: int,
+                            features: Sequence[str] = DEFAULT_FEATURES) -> FeatureVector:
     """Expectations as placement counts times brute-force pattern probabilities."""
     if n > MAX_EXACT_NODES:
         raise GraphTooLargeError(
             f"exhaustive expectations are capped at n = {MAX_EXACT_NODES}, got {n}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return FeatureVector({key: _exact_expected(measure, n, key) for key in features})
+    return FeatureVector({key: _exact_expected(model, n, key) for key in features})
 
 
-def _exact_expected(measure: GeneratingMeasure, n: int, key: str) -> float:
+def _exact_expected(model: GeneratingMeasure | NoiseSchedule, n: int, key: str) -> float:
     """One expectation: placement count times the pattern probability."""
     kind, order = parse_feature(key)
     if kind == "star":
         if not 1 <= order <= n - 1:
             raise DomainError(f"star order {order} infeasible on {n} nodes")
         prob = exact_subgraph_probability(
-            measure, _star_pattern(order), num_nodes=order + 1)
+            model, _star_pattern(order), num_nodes=order + 1)
         return n * math.comb(n - 1, order) * prob
     if kind == "edges":  # an edge is a 2-clique
         order = 2
     if not 2 <= order <= n:
         raise DomainError(f"clique order {order} infeasible on {n} nodes")
-    prob = exact_subgraph_probability(measure, _clique_pattern(order), num_nodes=order)
+    prob = exact_subgraph_probability(model, _clique_pattern(order), num_nodes=order)
     return math.comb(n, order) * prob
 
 

@@ -13,23 +13,24 @@ One exact sampler and one approximate one:
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
   target is placed.  Expected O(|E| log |V|) work.  The target's mean and
-  variance are ``measure``'s edge moments over the level matrices, each at
-  depth 1.  A run whose expected box count, accuracy times the expected
-  edge count, is beyond ``_MAX_EXPECTED_BOXES`` raises ``TooLargeError``
-  before any draw.  A box's pair of category tuples is drawn a group of
-  levels at a time: each group's table is the Kronecker product of its
-  levels' edge masses, within ``_MAX_GROUP_CELLS`` cells unless it is one
-  level, and one uniform picks a cell from its alias table in O(1).  The
-  category-box lookups and the placement's membership tests search their
-  queries in sorted order;
-  ``tests/test_sampler.py`` pins the graph each seed gives.
+  variance are ``edge_moments`` of the schedule of level matrices (k copies
+  of the measure's, each taken once).  A run whose expected box count,
+  accuracy times the expected edge count, is beyond ``_MAX_EXPECTED_BOXES``
+  raises ``TooLargeError`` before any draw.  A box's pair of category
+  tuples is drawn a group of levels at a time: each group's table is the
+  Kronecker product of its levels' edge masses, within ``_MAX_GROUP_CELLS``
+  cells unless it is one level, and one uniform picks a cell from its alias
+  table in O(1).  The category-box lookups and the placement's membership
+  tests search their queries in sorted order; ``tests/test_sampler.py``
+  pins the graph each seed gives.
 
 Both samplers build a ``Graph``'s own form, the sorted edge keys
 ``u * n + v`` with u < v, and hand it over as it is.
 
 ``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
 independently perturbed level matrices; the exact noisy draw is
-``sample_by_intersection`` over the same schedule.
+``sample_by_intersection`` over the same schedule, and the schedule's
+closed forms are ``measure``'s, which read it as its level matrices.
 
 All samplers are deterministic given (inputs, seed).  A noise schedule of
 amplitude 0 consumes no randomness, so ``noisy_sample`` at b = 0 reproduces
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import (DegenerateDiagonalError, DomainError, StalledError, TooLargeError,
                      UnsupportedMError)
 from .features import Graph, _search_sorted
-from .measure import GeneratingMeasure, _check_lengths, _check_probs, _edge_moments_of_levels
+from .measure import GeneratingMeasure, NoiseSchedule, _edge_moments
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -121,6 +122,11 @@ class CategoryIndex:
 _PAIR_BLOCK = 256
 
 
+def _unperturbed(matrices: Sequence[np.ndarray], lengths) -> NoiseSchedule:
+    """The schedule of these level matrices as they are, every offset 0."""
+    return NoiseSchedule(tuple(matrices), np.zeros(len(matrices)), lengths)
+
+
 def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     """Exact sampler: ``sample_by_intersection`` over k copies of the matrix.
 
@@ -146,12 +152,10 @@ def sample_by_intersection(
     """
     if n < 1:
         raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
-    lengths = _check_lengths(lengths)
-    matrices = [_check_probs(p, lengths.size) for p in level_matrices]
-    if not matrices:
-        raise DomainError("need at least one level matrix")
+    schedule = _unperturbed(level_matrices, lengths)
+    matrices = schedule.level_matrices
     rng = np.random.default_rng(rng)
-    levels = _draw_levels(n, len(matrices), lengths, rng)
+    levels = _draw_levels(n, len(matrices), schedule.lengths, rng)
 
     keys = []  # each block's keys u * n + v: blocks go by row, nonzero is row-major
     for u0 in range(0, n, _PAIR_BLOCK):
@@ -249,17 +253,11 @@ def fast_sample(
     is raised before any draw.
     """
     return _fast_sample_levels(
-        n, [measure.probs] * measure.k, measure.lengths, accuracy, rng)
+        n, _unperturbed([measure.probs] * measure.k, measure.lengths), accuracy, rng)
 
 
-def _fast_sample_levels(
-    n: int,
-    matrices: Sequence[np.ndarray],
-    lengths,
-    accuracy: float,
-    rng,
-) -> Graph:
-    """The box-dropping generator over one probability matrix per level.
+def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -> Graph:
+    """The box-dropping generator over a schedule's level matrices.
 
     Edges are placed in rounds.  A round draws a batch of boxes (ordered
     pairs of category tuples) a group of levels at a time, one alias-table
@@ -277,11 +275,10 @@ def _fast_sample_levels(
     if not (accuracy > 0.0 and math.isfinite(accuracy)):
         raise DomainError(f"accuracy must be positive and finite, got {accuracy!r}")
     rng = np.random.default_rng(rng)
-    lengths = np.asarray(lengths, dtype=float)
-    m = lengths.shape[0]
-    k = len(matrices)
+    matrices, lengths = schedule.level_matrices, schedule.lengths
+    m, k = lengths.size, len(matrices)
 
-    moments = _edge_moments_of_levels(n, matrices, lengths, 1)
+    moments = _edge_moments(schedule, n)
     if accuracy * moments.mean > _MAX_EXPECTED_BOXES:
         raise TooLargeError(
             f"accuracy {accuracy!r} times the {moments.mean:.6g} expected edges asks for "
@@ -380,25 +377,15 @@ def _fast_sample_levels(
 # noisy variant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Per-level probability matrices produced by diagonal-preserving noise.
-
-    ``offsets[i]`` is the uniform draw applied at level i; each level matrix
-    adds it to the off-diagonal entries and rebalances the diagonal so the
-    diagonal sum is preserved, then clamps entrywise to [0, 1].
-    """
-
-    level_matrices: tuple[np.ndarray, ...]
-    offsets: np.ndarray
-
-
 def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> NoiseSchedule:
     """Draw per-level matrices for the noisy sampler (two categories only).
 
-    With b == 0 the schedule repeats the measure's matrix bit for bit and
-    consumes no randomness, so noisy runs at zero amplitude reproduce the
-    plain samplers exactly.
+    ``offsets[i]`` is the uniform draw applied at level i; each level matrix
+    adds it to the off-diagonal entries and rebalances the diagonal so the
+    diagonal sum is preserved, then clamps entrywise to [0, 1].  With b == 0
+    the schedule repeats the measure's matrix bit for bit and consumes no
+    randomness, so noisy runs at zero amplitude reproduce the plain samplers
+    exactly.
     """
     if measure.m != 2:
         raise UnsupportedMError(
@@ -408,7 +395,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     p = measure.probs
     k = measure.k
     if b == 0.0:
-        return NoiseSchedule(level_matrices=tuple([p] * k), offsets=np.zeros(k))
+        return _unperturbed([p] * k, measure.lengths)
     diag_sum = float(p[0, 0] + p[1, 1])
     if diag_sum <= 0.0:
         raise DegenerateDiagonalError(
@@ -422,7 +409,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
             [p[1, 0] + mu, p[1, 1] - 2.0 * mu * p[1, 1] / diag_sum],
         ])
         mats.append(np.clip(shifted, 0.0, 1.0))
-    return NoiseSchedule(level_matrices=tuple(mats), offsets=offsets)
+    return NoiseSchedule(tuple(mats), offsets, measure.lengths)
 
 
 def noisy_sample(
@@ -435,5 +422,4 @@ def noisy_sample(
     is ``sample_by_intersection`` over the schedule's ``level_matrices``.
     """
     rng = np.random.default_rng(rng)
-    schedule = make_noise_schedule(measure, b, rng)
-    return _fast_sample_levels(n, schedule.level_matrices, measure.lengths, accuracy, rng)
+    return _fast_sample_levels(n, make_noise_schedule(measure, b, rng), accuracy, rng)

@@ -482,3 +482,55 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     report(11, "CLI output byte-identical across repeat runs", all_same,
            f"{len(commands)} commands, {elapsed:.0f}s")
     assert all_same
+
+
+# The stdout of three commands on criterion 11's inputs, byte for byte.  A
+# change to the closed forms, the fit or the output format changes these on
+# purpose, and says so.
+_PINNED_STDOUT = {
+    "moments": (
+        "feature   expected\n"
+        "edges     20523.780425803372\n"
+        "S2        1840818.3092376478\n"
+        "S3        58883752.187355645\n"
+        "S4        1484583982.4481423\n"
+        "C3        126551.64600980023\n"
+        "C4        179732.91629190629\n"
+        "edge_std  579.42424249194084\n"),
+    "compare": (
+        "feature  actual   expected            ratio\n"
+        "edges    1855     1838.5029760188577  0.99110672561663482\n"
+        "S2       51321    49006.115067856917  0.95489400182882089\n"
+        "S3       508854   463655.88070672151  0.91117664537710519\n"
+        "S4       3961001  3440933.2347406568  0.86870294522537528\n"
+        "C3       3899     3369.0476106527803  0.8640799206598565\n"
+        "C4       2200     1415.2329038095108  0.64328768354977761\n"),
+    "fit": (
+        "fit: m=2 k=4 objective=0.064336273978186198 restart=2 of 3\n"
+        "feature  actual   expected            ratio\n"
+        "edges    1855     1870.7853319558451  1.0085096129142022\n"
+        "S2       51321    51320.999992458354  0.99999999985304955\n"
+        "S3       508854   508342.84751018364  0.99899548300727448\n"
+        "S4       3961001  4025459.1420095786  1.0162731950861863\n"
+        "C3       3899     3760.1764622924043  0.9643950916369336\n"
+        "C4       2200     2193.5231109548781  0.99705595952494463\n"
+        "wrote measure to {fit}\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_STDOUT))
+def test_criterion_11_cli_stdout_is_pinned(tmp_path, capsys, command):
+    paths = {name: str(tmp_path / name) for name in ("measure.json", "graph.tsv", "fit.json")}
+    write_measure(mfng.make_measure(BLOCK["lengths"], BLOCK["probs"], k=4),
+                  paths["measure.json"])
+    assert cli_main(["sample", "--measure", paths["measure.json"], "--nodes", "150",
+                     "--method", "naive", "--seed", "42", "--out", paths["graph.tsv"]]) == 0
+    capsys.readouterr()
+    argv = {
+        "moments": ["moments", "--measure", paths["measure.json"], "--nodes", "500"],
+        "compare": ["compare", "--graph", paths["graph.tsv"], "--measure", paths["measure.json"]],
+        "fit": ["fit", "--graph", paths["graph.tsv"], "--m", "2", "--k", "4",
+                "--restarts", "3", "--seed", "0", "--out", paths["fit.json"]],
+    }[command]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == _PINNED_STDOUT[command].format(fit=paths["fit.json"])

@@ -502,6 +502,24 @@ def test_data_error_invalid_measure(capsys, tmp_path):
     assert "symmetric" in err
 
 
+@pytest.mark.parametrize("lengths, probs", [
+    ([1], [[10**400]]),
+    ([10**400], [[0.5]]),
+])
+def test_data_error_number_beyond_the_float_range(capsys, tmp_path, lengths, probs):
+    # JSON reads the integer exactly; it once escaped as a bare OverflowError
+    # and exited as a runtime error.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "m": 1, "k": 2, "lengths": lengths, "probs": probs,
+    }))
+    code, out, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rectangular array of numbers" in err
+
+
 def test_data_error_edge_list_not_utf8(capsys, tmp_path):
     path = tmp_path / "g.tsv"
     path.write_bytes(b"0 1\n\xff\xfe 2\n")

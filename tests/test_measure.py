@@ -17,13 +17,15 @@ from mfng import (
     NonSymmetricError,
     ProbabilityRangeError,
 )
-from mfng.measure import max_depth
+from mfng.measure import NoiseSchedule, max_depth
 from mfng.oracle import (
     clique_survival_by_enumeration,
     exact_degree_counts,
     exact_edge_variance,
+    exact_expected_features,
     star_survival_by_enumeration,
 )
+from mfng.sampler import make_noise_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,17 @@ def test_ragged_or_non_numeric_lengths_are_typed_errors(lengths):
 def test_ragged_or_non_numeric_probs_are_typed_errors(probs):
     with pytest.raises(ProbabilityRangeError):
         mfng.make_measure([0.5, 0.5], probs, k=2)
+
+
+@pytest.mark.parametrize("lengths, probs, error", [
+    ([1], [[10**400]], ProbabilityRangeError),
+    ([0.5, 0.5], [[0.5, -10**400], [-10**400, 0.5]], ProbabilityRangeError),
+    ([10**400], [[0.5]], LengthVectorError),
+])
+def test_numbers_beyond_the_float_range_are_typed_errors(lengths, probs, error):
+    # An int too large for a float once escaped as a bare OverflowError.
+    with pytest.raises(error, match="rectangular array of numbers"):
+        mfng.make_measure(lengths, probs, k=2)
 
 
 def test_probs_must_be_exactly_symmetric():
@@ -565,3 +578,83 @@ def test_feature_vector_round_trip(block_measure):
         mfng.FeatureVector.from_dict({"edges": 1.0, "X3": 2.0})
     with pytest.raises(DomainError):
         mfng.expected_feature_vector(block_measure, 50, features=("edges", "X3"))
+
+
+def test_an_empty_request_is_the_empty_vector(block_measure):
+    # As feature_vector(graph, []) is; no placement or survival is evaluated.
+    schedule = make_noise_schedule(block_measure, 0.1, np.random.default_rng(3))
+    for model in (block_measure, schedule):
+        for features in ([], ()):
+            vec = mfng.expected_feature_vector(model, 50, features)
+            assert vec.keys() == () and vec.as_dict() == {}
+    assert mfng.feature_vector(mfng.Graph.empty(5), []).as_dict() == {}
+
+
+# ---------------------------------------------------------------------------
+# noise schedules: one matrix per level
+# ---------------------------------------------------------------------------
+
+def random_schedule(rng, max_m=3, max_k=4, zero_row=False):
+    """A schedule of 1..max_k random symmetric level matrices over m
+    categories; with zero_row, one level's first category links to none."""
+    m, k = int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_k + 1))
+    matrices = []
+    for _ in range(k):
+        probs = rng.uniform(0.0, 1.0, size=(m, m))
+        matrices.append((probs + probs.T) / 2.0)
+    if zero_row:
+        matrices[-1][0, :] = matrices[-1][:, 0] = 0.0
+    return NoiseSchedule(tuple(matrices), np.zeros(k), rng.dirichlet(2.0 * np.ones(m)))
+
+
+def test_schedule_expectations_match_per_level_enumeration():
+    rng = np.random.default_rng(2010)
+    keys = ("edges", "S2", "S3", "C3", "C4")
+    worst = 0.0
+    for _ in range(40):
+        schedule = random_schedule(rng)
+        n = int(rng.integers(4, 13))
+        got = mfng.expected_feature_vector(schedule, n, keys)
+        want = exact_expected_features(schedule, n, keys)
+        for key in keys:
+            worst = max(worst, abs(got.value(key) - want.value(key)) / want.value(key))
+    assert worst <= 1e-12
+
+
+def test_schedule_edge_variance_matches_exact_rationals():
+    rng = np.random.default_rng(1403)
+    worst = 0.0
+    for i in range(120):
+        schedule = random_schedule(rng, max_k=6, zero_row=i % 7 == 0)
+        n = int(10.0 ** rng.uniform(math.log10(2), 7))
+        want = exact_edge_variance(schedule, n)
+        got = mfng.edge_moments(schedule, n).variance
+        if want == 0:
+            assert got == 0.0, (i, n)
+            continue
+        worst = max(worst, float(abs(Fraction(got) - want) / want))
+    assert worst <= 1e-12
+
+
+def test_a_schedule_entry_is_the_entry_asked_for_alone():
+    # Each feature's level sum takes the same steps, in the same order,
+    # whatever else is asked for; 19 levels take numpy's unrolled sum.
+    meas = mfng.make_measure([0.3, 0.7], [[0.9, 0.35], [0.35, 0.6]], k=19)
+    schedule = make_noise_schedule(meas, 0.1, np.random.default_rng(5))
+    together = mfng.expected_feature_vector(schedule, 10_000)
+    for key in together.keys():
+        assert together.value(key) == mfng.expected_feature_vector(
+            schedule, 10_000, [key]).value(key)
+    assert together.value("edges") == mfng.edge_moments(schedule, 10_000).mean
+
+
+@pytest.mark.parametrize("matrices, lengths, error", [
+    ((), [0.5, 0.5], DomainError),
+    ((HALF,), [0.3, 0.8], LengthVectorError),
+    ((HALF, [[0.5, 0.6], [0.4, 0.5]]), [0.5, 0.5], NonSymmetricError),
+    ((HALF, [[0.5]]), [0.5, 0.5], ProbabilityRangeError),
+    ((HALF, [[0.5, 1.5], [1.5, 0.5]]), [0.5, 0.5], ProbabilityRangeError),
+])
+def test_a_schedule_checks_its_levels(matrices, lengths, error):
+    with pytest.raises(error):
+        NoiseSchedule(matrices, np.zeros(len(matrices)), lengths)

@@ -5,13 +5,20 @@ closed-form module; keep the sizes tiny.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mfng
 from mfng import DomainError, GraphTooLargeError, PatternTooLargeError
-from mfng.oracle import exact_expected_features, exact_subgraph_probability, mc_feature_stats
+from mfng.measure import NoiseSchedule
+from mfng.oracle import (
+    _pattern_probability,
+    exact_expected_features,
+    exact_subgraph_probability,
+    mc_feature_stats,
+)
 
 EDGE = [(0, 1)]
 WEDGE = [(0, 1), (0, 2)]
@@ -45,6 +52,29 @@ def test_pattern_probability_depth_power_law(random_measure):
             down = exact_subgraph_probability(base, pattern)
             up = exact_subgraph_probability(meas, pattern)
             assert math.isclose(up, down**meas.k, rel_tol=1e-12)
+
+
+def test_per_level_pattern_probability_of_equal_levels_is_the_power(random_measure):
+    # In exact rationals, the product over k copies of the matrix is the
+    # one-level survival to the k-th power.
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        meas = random_measure(rng, max_k=4)
+        schedule = NoiseSchedule((meas.probs,) * meas.k, np.zeros(meas.k), meas.lengths)
+        for pattern, t in ((EDGE, 2), (WEDGE, 3), (TRIANGLE, 3)):
+            assert (_pattern_probability(schedule, pattern, t, Fraction)
+                    == _pattern_probability(meas, pattern, t, Fraction))
+
+
+def test_per_level_pattern_probability_multiplies_the_levels():
+    lengths = np.array([0.25, 0.75])
+    low, high = np.array([[0.2, 0.1], [0.1, 0.4]]), np.array([[0.9, 0.6], [0.6, 0.8]])
+    schedule = NoiseSchedule((low, high, high), np.zeros(3), lengths)
+    for pattern in (EDGE, WEDGE, TRIANGLE):
+        per_level = [exact_subgraph_probability(mfng.make_measure(lengths, p, k=1), pattern)
+                     for p in (low, high, high)]
+        assert math.isclose(exact_subgraph_probability(schedule, pattern),
+                            math.prod(per_level), rel_tol=1e-14)
 
 
 def test_pattern_probability_monotone_in_edges(three_cat_measure):

@@ -107,3 +107,25 @@ def test_only_features_builds_a_graph_from_pairs():
                     and node.func.attr == "from_pairs" and path.name != "features.py"):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_only_the_reader_and_the_fit_compute_level_bases():
+    # measure._level_survivals reads a measure or a schedule as its level
+    # matrices, and fit._scorer stacks the fit's lanes; every other closed
+    # form goes through the reader.
+    package = Path(mfng.__file__).parent
+    naming, calls = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id == "_level_bases")
+                    or (isinstance(node, ast.alias) and node.name == "_level_bases")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_level_bases")):
+                naming.add(path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_level_bases"):
+                    calls.append((path.name, top.name))
+    assert naming == {"fit.py", "measure.py"}
+    assert calls == [("fit.py", "_scorer"), ("measure.py", "_level_survivals")]

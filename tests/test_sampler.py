@@ -16,7 +16,6 @@ from mfng import (
     UnsupportedMError,
 )
 from mfng.features import _search_sorted
-from mfng.measure import _edge_moments_of_levels
 from mfng.sampler import (
     _MAX_CONSECUTIVE_REJECTS,
     _PAIR_BLOCK,
@@ -425,8 +424,7 @@ def test_fast_stops_at_the_drawn_target(block_measure):
     # The target is the first draw of the generator: a normal around the
     # closed-form edge mean, truncated to an int.
     n = 2000
-    moments = _edge_moments_of_levels(n, [block_measure.probs] * block_measure.k,
-                                      block_measure.lengths, 1)
+    moments = mfng.edge_moments(make_noise_schedule(block_measure, 0.0), n)
     for i in range(5):
         target = int(max(spawned(17, i).normal(moments.mean, moments.std), 0.0))
         assert mfng.fast_sample(n, block_measure, rng=spawned(17, i)).edge_count == target
@@ -464,7 +462,7 @@ def test_fast_does_not_stall_while_it_still_places_edges(block_measure):
     # At a high accuracy almost every box places nothing, so runs of more
     # than 10 000 empty boxes fall inside rounds that still place edges.
     n, meas = 100, mfng.make_measure(block_measure.lengths, block_measure.probs, k=12)
-    moments = _edge_moments_of_levels(n, [meas.probs] * meas.k, meas.lengths, 1)
+    moments = mfng.edge_moments(make_noise_schedule(meas, 0.0), n)
     for seed in range(8):
         target = int(max(np.random.default_rng(seed).normal(moments.mean, moments.std), 0.0))
         g = mfng.fast_sample(n, meas, np.random.default_rng(seed), accuracy=4000)
@@ -510,6 +508,7 @@ def test_fast_samplers_take_an_accuracy_whose_rate_divisor_underflows(block_meas
 _BLOCK_K10 = ((0.25, 0.75), ((0.59, 0.43), (0.43, 0.78)), 10)
 _THREE_CAT = ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.2], [0.5, 0.7, 0.4], [0.2, 0.4, 0.6]], 3)
 _DENSE_CORE = ([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], 3)
+_SKEWED_K7 = ([0.2, 0.8], [[1.0, 0.55], [0.55, 0.15]], 7)
 
 
 @pytest.mark.parametrize("spec, n, noise, accuracy, edges, digest", [
@@ -558,12 +557,40 @@ def test_samplers_hand_graph_its_sorted_keys(sample, n, spec):
     assert np.array_equal(g.degrees(), np.bincount(edges.ravel(), minlength=n))
 
 
-def test_target_moments_match_constant_schedule(block_measure):
-    got = _edge_moments_of_levels(
-        1500, [block_measure.probs] * block_measure.k, block_measure.lengths, 1)
-    em = mfng.edge_moments(block_measure, 1500)
-    assert math.isclose(got.mean, em.mean, rel_tol=1e-12)
-    assert math.isclose(got.std, em.std, rel_tol=1e-12)
+@pytest.mark.parametrize("spec", [_BLOCK_K10, _DENSE_CORE, _SKEWED_K7],
+                         ids=["block", "dense-core", "skewed"])
+def test_zero_noise_schedule_has_the_measure_moments(spec):
+    # The schedule's k equal levels, each taken once, sum k equal logs where
+    # the measure takes one log k times: equal up to rounding.
+    meas = mfng.make_measure(*spec[:2], k=spec[2])
+    schedule = make_noise_schedule(meas, 0.0)
+    for n in (40, 1500, 100_000):
+        got = mfng.expected_feature_vector(schedule, n)
+        want = mfng.expected_feature_vector(meas, n)
+        assert got.keys() == want.keys() == mfng.DEFAULT_FEATURES
+        for key in want.keys():
+            assert math.isclose(got.value(key), want.value(key), rel_tol=1e-12), key
+        assert math.isclose(mfng.edge_moments(schedule, n).std,
+                            mfng.edge_moments(meas, n).std, rel_tol=1e-12)
+
+
+def test_exact_noisy_draws_follow_their_schedule():
+    # sample_by_intersection over a noise schedule around a p = 1 core: the
+    # mean edges, S2 and C3 of 100 draws lie within 4 se of the schedule's
+    # closed forms, which differ from the measure's (C3 by about 15% here).
+    meas = mfng.make_measure(*_SKEWED_K7[:2], k=_SKEWED_K7[2])
+    schedule = make_noise_schedule(meas, 0.05, np.random.default_rng(7))
+    n, draws, keys = 1000, 100, ("edges", "S2", "C3")
+    counts = np.array([
+        [mfng.feature_vector(g, keys).value(key) for key in keys]
+        for g in (mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
+                                              spawned(71, i)) for i in range(draws))])
+    want = mfng.expected_feature_vector(schedule, n, keys)
+    z = (counts.mean(axis=0) - [want.value(key) for key in keys]) / (
+        counts.std(axis=0, ddof=1) / math.sqrt(draws))
+    assert np.all(np.abs(z) < 4.0), dict(zip(keys, z))
+    assert not math.isclose(want.value("C3"), mfng.expected_t_cliques(meas, n, 3),
+                            rel_tol=0.05)
 
 
 # ---------------------------------------------------------------------------
