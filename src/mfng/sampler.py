@@ -2,12 +2,21 @@
 
 One exact sampler and one approximate one:
 
-* ``sample_by_intersection`` — every node draws one category per level,
-  then node pairs u < v are scanned a block of rows at a time, each level
-  flipping one coin per surviving pair with that level's link probability.
-  The levels are independent, so this is exact; it takes one matrix per
-  level.  ``naive_sample`` is its case of k copies of a measure's matrix.
-  O(n^2).
+* ``sample_by_intersection`` — every node draws one category per level;
+  given them, pair (u, v) is an independent edge with probability K_uv,
+  the product over levels of that level's link probability.  It takes one
+  matrix per level, and ``naive_sample`` is its case of k copies of a
+  measure's matrix.  The draw is Poisson ball dropping over the m^k
+  category codes, then thinning (Ramani, Eikmeier & Gleich, SIAM Review
+  2019): node u sends a Poisson number of balls, each ball picks its target
+  code a level at a time from mode products of the code occupancy (Van
+  Loan 2000) and then a node of that code, and each pair hit is kept with
+  a probability that makes it an edge with probability K_uv exactly.  Work
+  is about linear in n and the edge count, plus (k + 1) m^(k + 1) for the
+  code tensors.  Beyond ``_MAX_CODE_CELLS`` of those, or when two occupied
+  codes link with probability 1, the same law is drawn by scanning the
+  node pairs a block of rows at a time, each level flipping one coin per
+  pair still standing: O(n^2).
 * ``fast_sample`` — the approximate box-dropping generator: draw a target
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
@@ -21,8 +30,7 @@ One exact sampler and one approximate one:
   Kronecker product of its levels' edge masses, within ``_MAX_GROUP_CELLS``
   cells unless it is one level, and one uniform picks a cell from its alias
   table in O(1).  The category-box lookups and the placement's membership
-  tests search their queries in sorted order; ``tests/test_sampler.py``
-  pins the graph each seed gives.
+  tests search their queries in sorted order.
 
 Both samplers build a ``Graph``'s own form, the sorted edge keys
 ``u * n + v`` with u < v, and hand it over as it is.
@@ -32,7 +40,8 @@ independently perturbed level matrices; the exact noisy draw is
 ``sample_by_intersection`` over the same schedule, and the schedule's
 closed forms are ``measure``'s, which read it as its level matrices.
 
-All samplers are deterministic given (inputs, seed).  A noise schedule of
+All samplers are deterministic given (inputs, seed), and
+``tests/test_sampler.py`` pins the graph each seed gives.  A noise schedule of
 amplitude 0 consumes no randomness, so ``noisy_sample`` at b = 0 reproduces
 ``fast_sample`` bit for bit at a fixed seed.
 """
@@ -115,10 +124,15 @@ class CategoryIndex:
 
 
 # ---------------------------------------------------------------------------
-# exact samplers
+# exact sampler
 # ---------------------------------------------------------------------------
 
-# Rows of node pairs drawn per block; bounds the exact sampler's memory.
+# Ball dropping builds k + 1 tensors over the m^k category codes, each by a
+# mode product that reads m cells for each cell it writes.  When those reads,
+# (k + 1) m^(k + 1), exceed this budget, the row-block scan runs instead.
+_MAX_CODE_CELLS = 1 << 23
+
+# Rows of node pairs drawn per block; bounds the row-block scan's memory.
 _PAIR_BLOCK = 256
 
 
@@ -131,10 +145,11 @@ def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     """Exact sampler: ``sample_by_intersection`` over k copies of the matrix.
 
     Pair (u, v) is an edge with the product over levels of the link
-    probability of their categories at that level.  Quadratic in n; use the
-    fast sampler beyond a few thousand nodes.
+    probability of their categories at that level, independently of every
+    other pair.  The measure is checked already, so its matrix is not
+    checked k more times.
     """
-    return sample_by_intersection(n, [measure.probs] * measure.k, measure.lengths, rng)
+    return _sample_exact(n, [measure.probs] * measure.k, measure.lengths, rng)
 
 
 def sample_by_intersection(
@@ -142,21 +157,124 @@ def sample_by_intersection(
 ) -> Graph:
     """Exact sampler with one probability matrix per level.
 
-    Every node draws one category per level up front.  Node pairs u < v are
-    then scanned a block of rows at a time: each level flips one coin per
-    pair still standing, with that level's link probability, and a pair
-    that passes every level is an edge.  The levels are independent, so
-    this is one coin with the product probability; per-level matrices give
-    the exact noisy variant.  Each block's edge keys come out ascending, and
-    so does their concatenation.
-    """
-    if n < 1:
-        raise DomainError(f"sample_by_intersection needs n >= 1, got {n}")
-    schedule = _unperturbed(level_matrices, lengths)
-    matrices = schedule.level_matrices
-    rng = np.random.default_rng(rng)
-    levels = _draw_levels(n, len(matrices), schedule.lengths, rng)
+    Every node draws one category per level up front.  Given them, pair
+    (u, v) is an edge with probability ``K_uv``, the product over levels of
+    that level's link probability of their categories, independently of
+    every other pair; per-level matrices give the exact noisy variant.
 
+    The draw is Poisson ball dropping over the m^k category codes, then
+    thinning (see ``_drop_balls``): work about linear in n and the edge
+    count, plus (k + 1) m^(k + 1) for the code tensors.  The row-block scan
+    (``_scan_pairs``), O(n^2), draws the same law instead when those
+    (k + 1) m^(k + 1) cells exceed ``_MAX_CODE_CELLS``, or when two occupied
+    codes link with probability 1, which would take infinitely many balls.
+    """
+    schedule = _unperturbed(level_matrices, lengths)
+    return _sample_exact(n, schedule.level_matrices, schedule.lengths, rng)
+
+
+def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, rng) -> Graph:
+    """``sample_by_intersection`` over checked level matrices and lengths."""
+    if n < 1:
+        raise DomainError(f"exact sampling needs n >= 1, got {n}")
+    m, k = lengths.size, len(matrices)
+    rng = np.random.default_rng(rng)
+    levels = _draw_levels(n, k, lengths, rng)
+    # The one dispatch: ball dropping within the cell budget, unless a pair
+    # of occupied codes is certain to link.
+    if (k + 1) * m ** (k + 1) <= _MAX_CODE_CELLS:
+        codes = encode_categories(levels, m)
+        index = CategoryIndex(codes)
+        occupancy = np.zeros(m ** k)
+        occupancy[index.codes] = index.counts
+        largest = _largest_link(matrices, occupancy)
+        if largest < 1.0:
+            return Graph(n, _drop_balls(levels, codes, index, occupancy, matrices, largest, rng))
+    return Graph(n, _scan_pairs(levels, matrices, rng))
+
+
+def _mode_product(probs: np.ndarray, tensor: np.ndarray, r: int, reduce: np.ufunc) -> np.ndarray:
+    """Level r's matrix applied along digit r of a flat tensor over base-m
+    codes (digit 0 most significant): ``out[.., i, ..] = reduce over j of
+    probs[i, j] * tensor[.., j, ..]``."""
+    m = probs.shape[0]
+    cells = tensor.reshape(m ** r, 1, m, -1)
+    return reduce.reduce(probs[:, :, None] * cells, axis=2).ravel()
+
+
+def _largest_link(matrices: Sequence[np.ndarray], occupancy: np.ndarray) -> float:
+    """The largest ``K_ab`` over codes a and b that both hold a node: the
+    occupied codes' indicator taken through every level's (max, x) mode
+    product, read at the occupied codes."""
+    occupied = occupancy > 0
+    best = occupied.astype(float)
+    for r in reversed(range(len(matrices))):
+        best = _mode_product(matrices[r], best, r, np.maximum)
+    return float(best[occupied].max())
+
+
+def _drop_balls(levels: np.ndarray, codes: np.ndarray, index: CategoryIndex,
+                occupancy: np.ndarray, matrices: Sequence[np.ndarray], largest: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Sorted edge keys of one exact draw given the nodes' categories.
+
+    ``W_k`` is the occupancy c of the codes, and ``W_r`` is level r's
+    matrix applied along digit r of ``W_(r+1)`` (Van Loan 2000), so
+    ``W_r[b_0..b_(r-1), a_r..a_(k-1)]`` sums ``c_b`` times the links of
+    levels r.. over codes b that start with b_0..b_(r-1), and
+    ``W_0 = K c``.  Node u, with code a, sends Poisson(mu/2 (K c)_a) balls.
+    A ball picks its target code a digit at a time, digit j at level r
+    with weight ``P_r[a_r, j] W_(r+1)[b_0..b_(r-1), j, a_(r+1)..]``; the
+    weights telescope to ``K_ab c_b / (K c)_a``, and the ball then hits a
+    node of code b uniformly.  So each pair u != v takes Poisson(mu K_uv)
+    balls, independently of every other pair; self-hits are dropped.  A
+    hit pair is kept with probability ``K_uv / (1 - exp(-mu K_uv))``, at
+    most 1 for ``K_uv`` up to ``largest`` when ``mu = -log(1 - largest) /
+    largest``, so it is an edge with probability ``K_uv`` (Ramani, Eikmeier
+    & Gleich, SIAM Review 2019).
+    """
+    m, k, n = matrices[0].shape[0], len(matrices), codes.size
+    steps = np.arange(m)
+    tensors = [occupancy]
+    for r in reversed(range(k)):
+        tensors.append(_mode_product(matrices[r], tensors[-1], r, np.add))
+    tensors.reverse()
+    # mu's limit at largest -> 0 is 1; at 0 every rate is 0 anyway.
+    mu = -math.log1p(-largest) / largest if largest > 0.0 else 1.0
+
+    source = np.repeat(np.arange(n), rng.poisson(0.5 * mu * tensors[0][codes]))
+    # A ball's cell of W_r: its target's digits before r, its source's from r.
+    cell = codes[source]
+    link = np.ones(source.size)
+    for r, probs in enumerate(matrices):
+        stride = m ** (k - 1 - r)
+        digit = levels[source, r]
+        base = cell - digit * stride
+        cumulative = (probs[digit] * tensors[r + 1][base[:, None] + steps * stride]).cumsum(axis=1)
+        # u * total < total for u < 1, so a digit of weight 0 is never picked.
+        x = rng.random(source.size) * cumulative[:, -1]
+        pick = (x[:, None] >= cumulative[:, :-1]).sum(axis=1)
+        cell = base + pick * stride
+        link *= probs[digit, pick]
+    start, count = index.lookup(cell)
+    target = index.nodes[start + rng.integers(0, count)]
+
+    hit = source != target
+    source, target, link = source[hit], target[hit], link[hit]
+    keys, first = np.unique(np.minimum(source, target) * n + np.maximum(source, target),
+                            return_index=True)
+    link = link[first]
+    return keys[rng.random(keys.size) * -np.expm1(-mu * link) < link]
+
+
+def _scan_pairs(levels: np.ndarray, matrices: Sequence[np.ndarray],
+                rng: np.random.Generator) -> np.ndarray:
+    """Sorted edge keys of one exact draw given the nodes' categories, by
+    scanning pairs u < v a block of rows at a time: each level flips one
+    coin per pair still standing, with that level's link probability, and a
+    pair that passes every level is an edge.  The levels are independent,
+    so this is one coin with the product probability."""
+    n = levels.shape[0]
     keys = []  # each block's keys u * n + v: blocks go by row, nonzero is row-major
     for u0 in range(0, n, _PAIR_BLOCK):
         # A block of rows from u0 against columns u0+1..n-1; triu keeps v > u.
@@ -168,7 +286,7 @@ def sample_by_intersection(
             keep = rng.random(iu.size) < probs[levels[iu, r], levels[iv, r]]
             iu, iv = iu[keep], iv[keep]
         keys.append(iu * n + iv)
-    return Graph(n, np.concatenate(keys))
+    return np.concatenate(keys)
 
 
 # ---------------------------------------------------------------------------

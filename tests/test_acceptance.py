@@ -485,8 +485,8 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
 
 
 # The stdout of three commands on criterion 11's inputs, byte for byte.  A
-# change to the closed forms, the fit or the output format changes these on
-# purpose, and says so.
+# change to the closed forms, the fit, the exact sampler's draws or the
+# output format changes these on purpose, and says so.
 _PINNED_STDOUT = {
     "moments": (
         "feature   expected\n"
@@ -499,21 +499,21 @@ _PINNED_STDOUT = {
         "edge_std  579.42424249194084\n"),
     "compare": (
         "feature  actual   expected            ratio\n"
-        "edges    1855     1838.5029760188577  0.99110672561663482\n"
-        "S2       51321    49006.115067856917  0.95489400182882089\n"
-        "S3       508854   463655.88070672151  0.91117664537710519\n"
-        "S4       3961001  3440933.2347406568  0.86870294522537528\n"
-        "C3       3899     3369.0476106527803  0.8640799206598565\n"
-        "C4       2200     1415.2329038095108  0.64328768354977761\n"),
+        "edges    1835     1838.5029760188577  1.0019089787568707\n"
+        "S2       49956    49006.115067856917  0.98098556865755704\n"
+        "S3       485729   463655.88070672151  0.95455671929557739\n"
+        "S4       3697148  3440933.2347406568  0.93069934845471614\n"
+        "C3       3732     3369.0476106527803  0.90274587638070214\n"
+        "C4       1971     1415.2329038095108  0.71802785581405926\n"),
     "fit": (
-        "fit: m=2 k=4 objective=0.064336273978186198 restart=2 of 3\n"
+        "fit: m=2 k=4 objective=0.057487391544364698 restart=2 of 3\n"
         "feature  actual   expected            ratio\n"
-        "edges    1855     1870.7853319558451  1.0085096129142022\n"
-        "S2       51321    51320.999992458354  0.99999999985304955\n"
-        "S3       508854   508342.84751018364  0.99899548300727448\n"
-        "S4       3961001  4025459.1420095786  1.0162731950861863\n"
-        "C3       3899     3760.1764622924043  0.9643950916369336\n"
-        "C4       2200     2193.5231109548781  0.99705595952494463\n"
+        "edges    1835     1846.9830979316198  1.0065302986003377\n"
+        "S2       49956    49749.713583842931  0.99587063783815621\n"
+        "S3       485729   481002.90599801455  0.99027010122519876\n"
+        "S4       3697148  3697148.0010927818  1.0000000002955742\n"
+        "C3       3732     3593.5508921805745  0.9629021683227692\n"
+        "C4       1971     1971.0000000681575  1.0000000000345801\n"
         "wrote measure to {fit}\n"),
 }
 

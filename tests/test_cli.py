@@ -390,10 +390,10 @@ CANONICAL_ROWS = {
     "features": (
         "feature  count\n"
         "nodes    120\n"
-        "edges    1081\n"
-        "S2       21243\n"
-        "C2       1081\n"
-        "C3       1419\n"),
+        "edges    1122\n"
+        "S2       22966\n"
+        "C2       1122\n"
+        "C3       1536\n"),
     "moments": (
         "feature   expected\n"
         "edges     1174.6676732684236\n"
@@ -403,10 +403,10 @@ CANONICAL_ROWS = {
         "edge_std  72.814363904124875\n"),
     "compare": (
         "feature  actual  expected            ratio\n"
-        "edges    1081    1174.6676732684236  1.086649096455526\n"
-        "S2       21243   24964.406594697852  1.17518272347116\n"
-        "C2       1081    1174.6676732684236  1.086649096455526\n"
-        "C3       1419    1716.2403971988485  1.2094717386884064\n"),
+        "edges    1122    1174.6676732684236  1.0469408852659747\n"
+        "S2       22966   24964.406594697852  1.0870158754113843\n"
+        "C2       1122    1174.6676732684236  1.0469408852659747\n"
+        "C3       1536    1716.2403971988485  1.1173440085930004\n"),
 }
 
 

@@ -1,6 +1,7 @@
 """Category assignment, exact samplers, fast box sampler, noisy variant."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,12 @@ from mfng import (
     TooLargeError,
     UnsupportedMError,
 )
+from mfng import sampler
 from mfng.features import _search_sorted
+from mfng.measure import NoiseSchedule
+from mfng.oracle import exact_subgraph_probability
 from mfng.sampler import (
+    _MAX_CODE_CELLS,
     _MAX_CONSECUTIVE_REJECTS,
     _PAIR_BLOCK,
     CategoryIndex,
@@ -41,6 +46,13 @@ def decode_categories(codes, m, k):
         out[..., pos] = rem % m
         rem = rem // m
     return out
+
+
+# Measures as (lengths, probs, k).
+_BLOCK_K10 = ((0.25, 0.75), ((0.59, 0.43), (0.43, 0.78)), 10)
+_THREE_CAT = ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.2], [0.5, 0.7, 0.4], [0.2, 0.4, 0.6]], 3)
+_DENSE_CORE = ([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], 3)
+_SKEWED_K7 = ([0.2, 0.8], [[1.0, 0.55], [0.55, 0.15]], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +239,147 @@ def test_intersection_rejects_a_ragged_matrix():
     with pytest.raises(mfng.ProbabilityRangeError):
         mfng.sample_by_intersection(
             10, [[[0.5, 0.5], [0.5]]], [0.5, 0.5], np.random.default_rng(0))
+
+
+def record_exact_paths(monkeypatch):
+    """Names of the exact draws taken from here on, in call order: "balls"
+    for ball dropping, "scan" for the row-block scan."""
+    paths = []
+
+    def recorded(name, draw):
+        def record(*args):
+            paths.append(name)
+            return draw(*args)
+        return record
+
+    monkeypatch.setattr(sampler, "_drop_balls", recorded("balls", sampler._drop_balls))
+    monkeypatch.setattr(sampler, "_scan_pairs", recorded("scan", sampler._scan_pairs))
+    return paths
+
+
+@pytest.mark.parametrize("m, inside, outside", [(2, 17, 18), (3, 11, 12)])
+def test_exact_sampler_drops_balls_up_to_the_cell_budget(monkeypatch, m, inside, outside):
+    # The deepest schedule whose (k + 1) m^(k + 1) cells fit the budget
+    # drops balls; one level more scans the pairs.
+    def cells(k):
+        return (k + 1) * m ** (k + 1)
+
+    assert cells(inside) <= _MAX_CODE_CELLS < cells(outside) and outside == inside + 1
+    paths = record_exact_paths(monkeypatch)
+    probs, lengths = np.full((m, m), 0.9), np.full(m, 1.0 / m)
+    for k in (inside, outside):
+        g = mfng.sample_by_intersection(30, [probs] * k, lengths, np.random.default_rng(k))
+        assert g.n == 30
+    assert paths == ["balls", "scan"]
+
+
+def test_exact_sampler_scans_when_an_occupied_pair_is_certain(monkeypatch):
+    # At b = 0 the skewed measure links two nodes of the all-zero code with
+    # probability 1, where ball dropping would need infinitely many balls: a
+    # draw that puts a node on that code scans, any other drops balls.
+    meas = mfng.make_measure(*_SKEWED_K7[:2], k=2)
+    schedule = make_noise_schedule(meas, 0.0)
+    paths = record_exact_paths(monkeypatch)
+    n, certain = 20, []
+    for seed in range(16):
+        levels = _draw_levels(n, meas.k, meas.lengths, np.random.default_rng(seed))
+        certain.append(bool(np.any(np.all(levels == 0, axis=1))))
+        a = mfng.naive_sample(n, meas, np.random.default_rng(seed))
+        b = mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
+                                        np.random.default_rng(seed))
+        assert a == b and a.n == n
+    assert paths == [("scan" if c else "balls") for c in certain for _ in range(2)]
+    assert 0 < sum(certain) < len(certain)
+
+
+def labelled_graph_law(model, n):
+    """Probability of each labelled graph on n nodes, indexed by the bit
+    mask of its pairs in ``combinations(range(n), 2)`` order: inclusion–
+    exclusion over the oracle's probabilities that every pair of a superset
+    of its edges is present."""
+    pairs = list(itertools.combinations(range(n), 2))
+    masks = range(1 << len(pairs))
+    present = [exact_subgraph_probability(
+        model, [pair for i, pair in enumerate(pairs) if mask >> i & 1], num_nodes=n)
+        for mask in masks]
+    return np.array([sum((-1) ** bin(extra).count("1") * present[mask | extra]
+                         for extra in masks if extra & mask == 0) for mask in masks])
+
+
+def labelled_graph_counts(sample, n, draws, rng):
+    """How often each labelled graph on n nodes comes out of draws calls."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = np.zeros(n * n, dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        bit[u * n + v] = 1 << i
+    return np.bincount([bit[sample(n, rng)._keys].sum() for _ in range(draws)],
+                       minlength=1 << len(pairs))
+
+
+_PAST_BUDGET = ([0.1, 0.2, 0.3, 0.4], [[0.99, 0.9, 0.85, 0.9], [0.9, 0.97, 0.9, 0.8],
+                                       [0.85, 0.9, 0.95, 0.9], [0.9, 0.8, 0.9, 0.93]], 9)
+_CERTAIN_CORE = NoiseSchedule((np.array([[1.0, 0.5], [0.5, 0.3]]),
+                               np.array([[1.0, 0.2], [0.2, 0.7]])),
+                              np.zeros(2), np.array([0.4, 0.6]))
+_LAW_CASES = {
+    "block": mfng.make_measure(*_BLOCK_K10[:2], k=3),
+    "m-3": mfng.make_measure(*_THREE_CAT[:2], k=2),
+    # p = 1 for code 00 with itself: a draw that puts a node there scans.
+    "schedule-with-a-certain-cell": _CERTAIN_CORE,
+    "past-the-cell-budget": mfng.make_measure(*_PAST_BUDGET),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", _LAW_CASES)
+def test_exact_draws_follow_the_whole_graph_law(case, n):
+    # The frequency of every labelled graph on n nodes over 20,000 draws
+    # against its probability: Pearson's chi-square, with graphs expected
+    # fewer than 5 times pooled, passes unless its tail is below a 4-sigma
+    # band's (6.3e-5).  Only the last case is past the cell budget.
+    from scipy.stats import chi2
+
+    model = _LAW_CASES[case]
+    if isinstance(model, NoiseSchedule):
+        k = len(model.level_matrices)
+
+        def sample(n, rng):
+            return mfng.sample_by_intersection(n, model.level_matrices, model.lengths, rng)
+    else:
+        k = model.k
+
+        def sample(n, rng):
+            return mfng.naive_sample(n, model, rng)
+    m = model.lengths.size
+    assert ((k + 1) * m ** (k + 1) > _MAX_CODE_CELLS) == (case == "past-the-cell-budget")
+
+    law = labelled_graph_law(model, n)
+    assert law.min() > 0 and math.isclose(law.sum(), 1.0, rel_tol=1e-12)
+    draws = 20_000
+    counts = labelled_graph_counts(sample, n, draws, np.random.default_rng(n))
+    expected = law * draws
+    rare = expected < 5
+    observed, expected = counts[~rare], expected[~rare]
+    if rare.any():
+        observed = np.append(observed, counts[rare].sum())
+        expected = np.append(expected, law[rare].sum() * draws)
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(statistic, observed.size - 1) > 6.3e-5, (statistic, observed.size - 1)
+
+
+def test_exact_draws_follow_the_closed_forms_beyond_log_m_n_levels():
+    # k = 14 levels over n = 3000 nodes (log2 n = 11.6): most codes hold no
+    # node, the regime where the fast sampler's clustering drifts.  The mean
+    # S2, S3 and C3 of 12 draws lie within 4 se of the closed forms.
+    meas = mfng.make_measure(*_BLOCK_K10[:2], k=14)
+    n, draws, keys = 3000, 12, ("S2", "S3", "C3")
+    counts = np.array([
+        [mfng.feature_vector(g, keys).value(key) for key in keys]
+        for g in (mfng.naive_sample(n, meas, spawned(140, i)) for i in range(draws))])
+    want = mfng.expected_feature_vector(meas, n, keys)
+    z = (counts.mean(axis=0) - [want.value(key) for key in keys]) / (
+        counts.std(axis=0, ddof=1) / math.sqrt(draws))
+    assert np.all(np.abs(z) < 4.0), dict(zip(keys, z))
 
 
 # ---------------------------------------------------------------------------
@@ -503,36 +656,6 @@ def test_fast_samplers_take_an_accuracy_whose_rate_divisor_underflows(block_meas
         assert g.n == 300 and g.edge_count > 0
 
 
-# The seed -> graph mapping, recorded as (edge count, sha256 of the edge
-# array's bytes).  A change to the sampler's draws changes these on purpose.
-_BLOCK_K10 = ((0.25, 0.75), ((0.59, 0.43), (0.43, 0.78)), 10)
-_THREE_CAT = ([0.2, 0.3, 0.5], [[0.9, 0.5, 0.2], [0.5, 0.7, 0.4], [0.2, 0.4, 0.6]], 3)
-_DENSE_CORE = ([0.5, 0.5], [[1.0, 0.05], [0.05, 0.05]], 3)
-_SKEWED_K7 = ([0.2, 0.8], [[1.0, 0.55], [0.55, 0.15]], 7)
-
-
-@pytest.mark.parametrize("spec, n, noise, accuracy, edges, digest", [
-    (_BLOCK_K10, 2000, None, 1.0, 21946,
-     "dcd4c5db0ffd4a697965e485954023311eadcd35eeaa3708f5fe3cac471e9ccb"),
-    (_BLOCK_K10, 2000, None, 4.0, 21946,
-     "dcdfca86053420fdfba64d69104c7eafc004d2dc57dda412a3f9d99e0268b3cc"),
-    (_BLOCK_K10, 2000, 0.05, 1.0, 21306,
-     "37c3f87d018e8da02d3f1166736958f4ef90ad1d9004131972f08cbd8ea2e60c"),
-    (_THREE_CAT, 2000, None, 1.0, 206221,
-     "4cd9de407ca9ca1c12bde8b256aab52a2b5cfdde982e11e51f32dbb954b6e1fd"),
-    (_DENSE_CORE, 400, None, 1.0, 1896,
-     "0429fa4ccdaee2746994aa3b01914272b27b03f2f59d1e0c63f4a8c359566c64"),
-], ids=["fast-accuracy-1", "fast-accuracy-4", "noisy-b-0.05", "fast-m-3", "fast-dense-core"])
-def test_seed_to_graph_mapping_is_pinned(spec, n, noise, accuracy, edges, digest):
-    meas = mfng.make_measure(*spec[:2], k=spec[2])
-    rng = np.random.default_rng(7)
-    if noise is None:
-        g = mfng.fast_sample(n, meas, rng, accuracy=accuracy)
-    else:
-        g = mfng.noisy_sample(n, meas, noise, rng, accuracy=accuracy)
-    assert (g.edge_count, hashlib.sha256(g.edge_array().tobytes()).hexdigest()) == (edges, digest)
-
-
 _SAMPLERS = {
     "naive": mfng.naive_sample,
     "fast": mfng.fast_sample,
@@ -541,6 +664,31 @@ _SAMPLERS = {
     "intersection": lambda n, meas, rng: mfng.sample_by_intersection(
         n, make_noise_schedule(meas, 0.05, rng).level_matrices, meas.lengths, rng),
 }
+
+
+# The seed -> graph mapping, recorded as (edge count, sha256 of the edge
+# array's bytes).  A change to the sampler's draws changes these on purpose.
+@pytest.mark.parametrize("spec, n, sampler_name, edges, digest", [
+    (_BLOCK_K10, 2000, "fast", 21946,
+     "dcd4c5db0ffd4a697965e485954023311eadcd35eeaa3708f5fe3cac471e9ccb"),
+    (_BLOCK_K10, 2000, "fast-accuracy-4", 21946,
+     "dcdfca86053420fdfba64d69104c7eafc004d2dc57dda412a3f9d99e0268b3cc"),
+    (_BLOCK_K10, 2000, "noisy", 21306,
+     "37c3f87d018e8da02d3f1166736958f4ef90ad1d9004131972f08cbd8ea2e60c"),
+    (_THREE_CAT, 2000, "fast", 206221,
+     "4cd9de407ca9ca1c12bde8b256aab52a2b5cfdde982e11e51f32dbb954b6e1fd"),
+    (_DENSE_CORE, 400, "fast", 1896,
+     "0429fa4ccdaee2746994aa3b01914272b27b03f2f59d1e0c63f4a8c359566c64"),
+    (_BLOCK_K10, 2000, "naive", 21854,
+     "a7a4f89ea0afcd2136bbf49dfd1509ace801ee1879a15d1c3486b301c657ffc8"),
+    (_SKEWED_K7, 2000, "intersection", 573,
+     "c9cbdf5aba619395e4e8d3bbe4254c77c740022e0215da6f56dcd4614d5ab8a7"),
+], ids=["fast-accuracy-1", "fast-accuracy-4", "noisy-b-0.05", "fast-m-3", "fast-dense-core",
+        "naive", "exact-noisy-b-0.05"])
+def test_seed_to_graph_mapping_is_pinned(spec, n, sampler_name, edges, digest):
+    g = _SAMPLERS[sampler_name](n, mfng.make_measure(*spec[:2], k=spec[2]),
+                                np.random.default_rng(7))
+    assert (g.edge_count, hashlib.sha256(g.edge_array().tobytes()).hexdigest()) == (edges, digest)
 
 
 @pytest.mark.parametrize("spec", [_BLOCK_K10, _DENSE_CORE], ids=["block", "dense-core"])
@@ -576,11 +724,12 @@ def test_zero_noise_schedule_has_the_measure_moments(spec):
 
 def test_exact_noisy_draws_follow_their_schedule():
     # sample_by_intersection over a noise schedule around a p = 1 core: the
-    # mean edges, S2 and C3 of 100 draws lie within 4 se of the schedule's
-    # closed forms, which differ from the measure's (C3 by about 15% here).
+    # mean edges, S2 and C3 of 100 draws at n = 3000 lie within 4 se of the
+    # schedule's closed forms, which differ from the measure's (C3 by about
+    # 15% here).
     meas = mfng.make_measure(*_SKEWED_K7[:2], k=_SKEWED_K7[2])
     schedule = make_noise_schedule(meas, 0.05, np.random.default_rng(7))
-    n, draws, keys = 1000, 100, ("edges", "S2", "C3")
+    n, draws, keys = 3000, 100, ("edges", "S2", "C3")
     counts = np.array([
         [mfng.feature_vector(g, keys).value(key) for key in keys]
         for g in (mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
