@@ -169,11 +169,12 @@ def read_measure(path: str) -> GeneratingMeasure:
     for key in ("schema_version", "m", "k", "lengths", "probs"):
         if key not in doc:
             raise SchemaError(f"{path}: missing key {key!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported schema_version {doc['schema_version']!r}")
+    # Exact type checks: JSON true/false load as bool, a subclass of int,
+    # and 1.0 loads as a float that equals 1.
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: unsupported schema_version {version!r}")
     m, k = doc["m"], doc["k"]
-    # Exact type checks: JSON true/false load as bool, a subclass of int.
     if type(m) is not int or type(k) is not int:
         raise SchemaError(f"{path}: m and k must be integers")
     lengths = doc["lengths"]
@@ -317,23 +318,20 @@ def cmd_fit(args) -> int:
 def cmd_sample(args) -> int:
     if args.noise != 0.0 and args.method != "noisy":
         raise _UsageError(f"--noise applies only to --method noisy, not {args.method}")
-    if args.accuracy != 1.0 and args.method == "naive":
-        raise _UsageError("--accuracy applies only to --method fast and noisy")
     measure = read_measure(args.measure)
     rng = np.random.default_rng(args.seed)
     if args.method == "naive":
         graph = naive_sample(args.nodes, measure, rng)
     elif args.method == "fast":
-        graph = fast_sample(args.nodes, measure, rng, accuracy=args.accuracy)
+        graph = fast_sample(args.nodes, measure, rng)
     else:  # argparse restricts the choices to these three
-        graph = noisy_sample(args.nodes, measure, args.noise, rng, accuracy=args.accuracy)
+        graph = noisy_sample(args.nodes, measure, args.noise, rng)
     header = [
         "mfng sample",
         f"measure: {args.measure}",
         f"method: {args.method}",
         f"nodes: {args.nodes}",
         f"seed: {args.seed}",
-        f"accuracy: {_fmt(args.accuracy)}",
     ]
     if args.method == "noisy":
         header.append(f"noise: {_fmt(args.noise)}")
@@ -425,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--method", choices=("fast", "naive", "noisy"), default="fast")
-    p.add_argument("--accuracy", type=float, default=1.0,
-                   help="fast-sampler accuracy parameter (Poisson rate divisor)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="noise amplitude for --method noisy")
     p.add_argument("--seed", type=_seed_arg, default=0)

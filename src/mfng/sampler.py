@@ -13,24 +13,26 @@ One exact sampler and one approximate one:
   Loan 2000) and then a node of that code, and each pair hit is kept with
   a probability that makes it an edge with probability K_uv exactly.  Work
   is about linear in n and the edge count, plus (k + 1) m^(k + 1) for the
-  code tensors.  Beyond ``_MAX_CODE_CELLS`` of those, or when two occupied
-  codes link with probability 1, the same law is drawn by scanning the
-  node pairs a block of rows at a time, each level flipping one coin per
-  pair still standing: O(n^2).
+  code tensors.  Beyond ``_MAX_CODE_CELLS`` of those, or when K_ab = 1 for
+  some occupied codes a and b, a = b included (so also when a single node
+  sits on a code whose self-link is 1), the same law is drawn by scanning
+  the node pairs a block of rows at a time, each level flipping one coin
+  per pair still standing: O(n^2).
 * ``fast_sample`` — the approximate box-dropping generator: draw a target
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
   target is placed.  Expected O(|E| log |V|) work.  The target's mean and
   variance are ``edge_moments`` of the schedule of level matrices (k copies
-  of the measure's, each taken once).  A run whose expected box count,
-  accuracy times the expected edge count, is beyond ``_MAX_EXPECTED_BOXES``
-  raises ``TooLargeError`` before any draw.  A box's pair of category
-  tuples is drawn a group of levels at a time: each group's table is the
-  Kronecker product of its levels' edge masses, within ``_MAX_GROUP_CELLS``
-  cells unless it is one level, and one uniform picks a cell from its alias
-  table in O(1).  The category-box lookups and the placement's membership
-  tests search their queries in sorted order.
+  of the measure's, each taken once).  A run whose expected edge count is
+  beyond ``_MAX_EXPECTED_BOXES`` raises ``TooLargeError`` before any draw.
+  A box's pair of category tuples is drawn a group of levels at a time:
+  each group's table is the Kronecker product of its levels' edge masses,
+  within ``_MAX_GROUP_CELLS`` cells unless it is one level, and one
+  uniform picks a cell from its alias table in O(1).  The category-box
+  lookups and the placement's membership tests search their queries in
+  sorted order.  Far past log_m n levels most boxes are empty and the run
+  can stall (``StalledError``); ``naive_sample`` is the route there.
 
 Both samplers build a ``Graph``'s own form, the sorted edge keys
 ``u * n + v`` with u < v, and hand it over as it is.
@@ -66,22 +68,20 @@ _POISSON_RATE_CAP = 1e12
 # A box stops drawing candidate pairs after this many draws.
 _MAX_ATTEMPTS_PER_BOX = 50
 
-# The fast sampler gives up once this many boxes in a row, times the
-# accuracy where that is above one, placed nothing (empty box, zero Poisson
-# draw, or every draw a self-pair or an existing edge): the measure is too
-# dense or too degenerate for the heuristic.
+# The fast sampler gives up once this many boxes in a row placed nothing
+# (empty box, zero Poisson draw, or every draw a self-pair or an existing
+# edge): the measure is too dense or too degenerate for the heuristic.
 _MAX_CONSECUTIVE_REJECTS = 10_000
 
-# Boxes drawn per round: about the remaining edge count times the accuracy,
-# within these bounds.  Boxes past the target still take pairs in their
-# round, pairs that earlier boxes would have retried into, so a round much
-# larger than the need thins out dense blocks.
+# Boxes drawn per round: about the remaining edge count, within these
+# bounds.  Boxes past the target still take pairs in their round, pairs
+# that earlier boxes would have retried into, so a round much larger than
+# the need thins out dense blocks.
 _MIN_ROUND_BOXES = 256
 _MAX_ROUND_BOXES = 1 << 16
 
-# The fast sampler refuses a run whose expected box count, the accuracy
-# times the expected edge count, exceeds this: its work grows with that
-# count, and so does the stall limit.
+# The fast sampler refuses a run whose expected edge count exceeds this:
+# it draws about one box per edge, and its work grows with that count.
 _MAX_EXPECTED_BOXES = 1 << 32
 
 
@@ -166,8 +166,11 @@ def sample_by_intersection(
     thinning (see ``_drop_balls``): work about linear in n and the edge
     count, plus (k + 1) m^(k + 1) for the code tensors.  The row-block scan
     (``_scan_pairs``), O(n^2), draws the same law instead when those
-    (k + 1) m^(k + 1) cells exceed ``_MAX_CODE_CELLS``, or when two occupied
-    codes link with probability 1, which would take infinitely many balls.
+    (k + 1) m^(k + 1) cells exceed ``_MAX_CODE_CELLS``, or when K_ab = 1
+    for some occupied codes a and b, which would take infinitely many
+    balls.  The case a = b counts too, so a single node alone on a code
+    whose self-link is 1 also sends the draw to the scan, though it has no
+    pair there.
     """
     schedule = _unperturbed(level_matrices, lengths)
     return _sample_exact(n, schedule.level_matrices, schedule.lengths, rng)
@@ -180,8 +183,8 @@ def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, r
     m, k = lengths.size, len(matrices)
     rng = np.random.default_rng(rng)
     levels = _draw_levels(n, k, lengths, rng)
-    # The one dispatch: ball dropping within the cell budget, unless a pair
-    # of occupied codes is certain to link.
+    # The one dispatch: ball dropping within the cell budget, unless some
+    # occupied codes a and b, a = b included, link with probability 1.
     if (k + 1) * m ** (k + 1) <= _MAX_CODE_CELLS:
         codes = encode_categories(levels, m)
         index = CategoryIndex(codes)
@@ -359,22 +362,21 @@ def build_q(matrices: Sequence[np.ndarray], lengths: np.ndarray) -> QTable:
                   lengths=group_lengths, width=group_lengths.size)
 
 
-def fast_sample(
-    n: int, measure: GeneratingMeasure, rng=None, *, accuracy: float = 1.0
-) -> Graph:
+def fast_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     """Approximate sampler with expected O(|E| log |V|) running time.
 
-    ``accuracy`` divides every box's Poisson rate: a larger value drops
-    fewer edges into each of more boxes, which follows the measure more
-    closely at the cost of more box draws.  When accuracy times the
-    expected edge count exceeds ``_MAX_EXPECTED_BOXES``, ``TooLargeError``
-    is raised before any draw.
+    When the expected edge count exceeds ``_MAX_EXPECTED_BOXES``,
+    ``TooLargeError`` is raised before any draw.  Far past log_m n levels
+    most category boxes are empty and the sampler can raise
+    ``StalledError``: on the block measure at k = 34 and n = 20,000, and on
+    ``[0.5, 0.5]``, ``[[0.9, 0.3], [0.3, 0.9]]`` at k = 30 and n = 3000,
+    seeds 0 to 3 all stall.  ``naive_sample`` draws the exact law there.
     """
     return _fast_sample_levels(
-        n, _unperturbed([measure.probs] * measure.k, measure.lengths), accuracy, rng)
+        n, _unperturbed([measure.probs] * measure.k, measure.lengths), rng)
 
 
-def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -> Graph:
+def _fast_sample_levels(n: int, schedule: NoiseSchedule, rng) -> Graph:
     """The box-dropping generator over a schedule's level matrices.
 
     Edges are placed in rounds.  A round draws a batch of boxes (ordered
@@ -390,17 +392,15 @@ def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -
     """
     if n < 1:
         raise DomainError(f"fast sampling needs n >= 1, got {n}")
-    if not (accuracy > 0.0 and math.isfinite(accuracy)):
-        raise DomainError(f"accuracy must be positive and finite, got {accuracy!r}")
     rng = np.random.default_rng(rng)
     matrices, lengths = schedule.level_matrices, schedule.lengths
     m, k = lengths.size, len(matrices)
 
     moments = _edge_moments(schedule, n)
-    if accuracy * moments.mean > _MAX_EXPECTED_BOXES:
+    if moments.mean > _MAX_EXPECTED_BOXES:
         raise TooLargeError(
-            f"accuracy {accuracy!r} times the {moments.mean:.6g} expected edges asks for "
-            f"more than {_MAX_EXPECTED_BOXES} box draws")
+            f"{moments.mean:.6g} expected edges ask for more than "
+            f"{_MAX_EXPECTED_BOXES} box draws")
     max_edges = math.comb(n, 2)
     target = int(min(max(rng.normal(moments.mean, moments.std), 0.0), float(max_edges)))
 
@@ -409,16 +409,12 @@ def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -
         return Graph.empty(n)
     # A positive target means every level's pair survival, its Q mass, is positive.
     tables = [build_q(matrices[group], lengths) for group in _level_groups(m, k)]
-    # A box places an edge about 1/accuracy as often, so runs of boxes that
-    # place nothing grow with accuracy; below 1 they do not shrink, since
-    # empty category boxes stay empty.
-    max_streak = _MAX_CONSECUTIVE_REJECTS * max(accuracy, 1.0)
 
     placed = np.empty(0, dtype=np.int64)  # sorted keys u * n + v, u < v
     streak = 0  # boxes in a row, at the end of those counted so far, that placed nothing
     while placed.size < target:
         need = target - placed.size
-        boxes = int(min(max(need * accuracy, _MIN_ROUND_BOXES), _MAX_ROUND_BOXES))
+        boxes = min(max(need, _MIN_ROUND_BOXES), _MAX_ROUND_BOXES)
 
         code_u = code_v = np.zeros(boxes, dtype=np.int64)
         l_u = l_v = np.ones(boxes)
@@ -439,12 +435,10 @@ def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -
         )
         # Rate is actual over expected pairs: an over-occupied box must absorb
         # proportionally more edges, or light boxes soak up more than their
-        # share and the clustering comes out too high.  A tiny accuracy can
-        # underflow the divisor to 0; fmin sends the inf that gives, and an
-        # empty box's 0/0, to the cap, and that box's pair cap of 0 keeps it
-        # empty.
+        # share and the clustering comes out too high.  fmin sends an empty
+        # box's 0/0 to the cap, and that box's pair cap of 0 keeps it empty.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = np.fmin(cnt_u * cnt_v / (accuracy * pair_mass), _POISSON_RATE_CAP)
+            lam = np.fmin(cnt_u * cnt_v / pair_mass, _POISSON_RATE_CAP)
         want = np.minimum(rng.poisson(lam),
                           np.where(same, cnt_u * (cnt_u - 1) // 2, cnt_u * cnt_v))
 
@@ -482,7 +476,7 @@ def _fast_sample_levels(n: int, schedule: NoiseSchedule, accuracy: float, rng) -
         # can the run of boxes that placed nothing carry on into the next.
         hits = np.flatnonzero(got)
         streak = boxes - 1 - int(hits[-1]) if hits.size else streak + boxes
-        if placed.size < target and streak > max_streak:
+        if placed.size < target and streak > _MAX_CONSECUTIVE_REJECTS:
             raise StalledError(
                 f"no edge placed in {streak} consecutive boxes "
                 f"({placed.size} of {target} edges placed)",
@@ -530,14 +524,11 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     return NoiseSchedule(tuple(mats), offsets, measure.lengths)
 
 
-def noisy_sample(
-    n: int, measure: GeneratingMeasure, b: float, rng=None, *, accuracy: float = 1.0
-) -> Graph:
+def noisy_sample(n: int, measure: GeneratingMeasure, b: float, rng=None) -> Graph:
     """The fast sampler over independently perturbed per-level matrices.
 
-    ``accuracy`` is as in :func:`fast_sample`, and b == 0 reproduces
-    :func:`fast_sample` bit for bit at a fixed seed.  The exact noisy draw
+    b == 0 reproduces :func:`fast_sample` bit for bit at a fixed seed.  The exact noisy draw
     is ``sample_by_intersection`` over the schedule's ``level_matrices``.
     """
     rng = np.random.default_rng(rng)
-    return _fast_sample_levels(n, make_noise_schedule(measure, b, rng), accuracy, rng)
+    return _fast_sample_levels(n, make_noise_schedule(measure, b, rng), rng)

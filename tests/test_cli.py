@@ -78,6 +78,8 @@ def test_measure_file_is_schema_checked(tmp_path):
     for breakage in (
         lambda d: d.pop("lengths"),
         lambda d: d.update(schema_version=99),
+        lambda d: d.update(schema_version=True),
+        lambda d: d.update(schema_version=1.0),
         lambda d: d.update(probs=[[0.5], [0.5]]),
         lambda d: d.update(k="three"),
         # JSON booleans are Python ints; none of them is a number here
@@ -332,12 +334,18 @@ def test_sample_one_node(tmp_path, capsys, block_file, method):
                           "--method", method, "--seed", "1", "--out", str(out))
     assert code == EXIT_OK
     assert stdout.endswith("wrote 0 edges on 1 nodes to " + str(out) + "\n")
+    header = ["mfng sample", f"measure: {block_file}", f"method: {method}", "nodes: 1",
+              "seed: 1"] + (["noise: 0"] if method == "noisy" else [])
+    assert out.read_text(encoding="utf-8") == "".join(f"# {line}\n" for line in header)
 
 
 @pytest.mark.parametrize("method, flag, value", [
     ("fast", "--noise", "0.5"),
     ("naive", "--noise", "0.5"),
+    # the fast sampler's accuracy option is gone, for every method
+    ("fast", "--accuracy", "4"),
     ("naive", "--accuracy", "4"),
+    ("noisy", "--accuracy", "4"),
 ])
 def test_sample_rejects_a_flag_its_method_ignores(tmp_path, capsys, block_file,
                                                   method, flag, value):
@@ -538,21 +546,17 @@ def test_data_error_measure_not_utf8(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-def test_data_error_bad_accuracy(capsys, tmp_path, block_file):
-    code, out, err = run(capsys, "sample", "--measure", block_file, "--nodes", "50",
-                         "--accuracy", "0", "--out", str(tmp_path / "g.tsv"))
-    assert code == EXIT_DATA
-    assert err.startswith("error: ") and "accuracy" in err
-
-
-def test_data_error_accuracy_beyond_the_box_budget(capsys, tmp_path, block_file, monkeypatch):
-    # Refused before any box is drawn, where it once ran without end.
+def test_data_error_expected_edges_beyond_the_box_budget(capsys, tmp_path, block_file,
+                                                         monkeypatch):
+    # About 7,400 expected edges against a budget of 100 box draws: refused
+    # before any box is drawn.
     def no_box_draws(*args, **kwargs):
         raise AssertionError("a box was drawn")
 
+    monkeypatch.setattr(mfng.sampler, "_MAX_EXPECTED_BOXES", 100)
     monkeypatch.setattr(mfng.sampler.QTable, "sample_pairs", no_box_draws)
     code, out, err = run(capsys, "sample", "--measure", block_file, "--nodes", "300",
-                         "--accuracy", "1e300", "--out", str(tmp_path / "g.tsv"))
+                         "--out", str(tmp_path / "g.tsv"))
     assert code == EXIT_DATA
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "box draws" in err

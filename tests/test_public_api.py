@@ -3,13 +3,17 @@ build on, plus the error classes; test-only helpers stay in their modules.
 """
 
 import ast
+import json
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import mfng
 from mfng import errors
+from mfng.cli import main, write_measure
 
 LIBRARY_SURFACE = {
     # measures and closed-form expectations
@@ -57,6 +61,44 @@ def test_the_benchmark_tracer_finds_every_name_it_rebinds():
         [sys.executable, "-c", _TRACER_PROBE, str(root / "src"), str(root / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert (probe.returncode, probe.stdout, probe.stderr) == (0, "installed\n", "")
+
+
+@pytest.mark.parametrize("command, spans", [
+    (["sample", "--method", "fast"], {"sampler.fast_sample", "sampler.box_draw"}),
+    (["sample", "--method", "noisy", "--noise", "0.05"],
+     {"sampler.noisy_sample", "sampler.noise_schedule", "sampler.box_draw"}),
+    (["sample", "--method", "naive"], {"sampler.naive_sample", "sampler.category_index"}),
+    (["features"], {"cli.read_edge_list", "features.from_edge_list"}),
+    (["fit", "--m", "2", "--k", "8", "--restarts", "1"],
+     {"fit.fit", "measure.expected_feature_vector"}),
+], ids=["sample-fast", "sample-noisy", "sample-naive", "features", "fit"])
+def test_the_benchmark_tracer_runs_the_cli_as_it_is(tmp_path, capsys, command, spans):
+    # Each command runs untraced in process, then through perfbench/launch.py
+    # with the same arguments: same exit code, stdout and output file, and
+    # the spans the benchmark reads are recorded.
+    root = Path(__file__).resolve().parents[1]
+    measure, graph, out = tmp_path / "m.json", tmp_path / "g.tsv", tmp_path / "out"
+    write_measure(mfng.make_measure([0.25, 0.75], [[0.59, 0.43], [0.43, 0.78]], k=8),
+                  str(measure))
+    assert main(["sample", "--measure", str(measure), "--nodes", "300", "--seed", "3",
+                 "--out", str(graph)]) == 0
+    argv = command[:1] + (["--measure", str(measure), "--nodes", "300", "--seed", "3"]
+                          if command[0] == "sample" else ["--graph", str(graph)])
+    argv += command[1:] + (["--out", str(out)] if command[0] != "features" else [])
+    capsys.readouterr()
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    written = out.read_bytes() if out.exists() else None
+
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), str(root / "src"),
+         str(spans_path), "probe", *argv],
+        capture_output=True, text=True, timeout=120)
+    assert (traced.returncode, traced.stdout, traced.stderr) == (0, untraced, "")
+    assert (out.read_bytes() if out.exists() else None) == written
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert spans <= names
 
 
 def test_every_error_class_is_used_outside_its_module():

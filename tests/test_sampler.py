@@ -567,12 +567,6 @@ def test_fast_edge_count_concentrates(block_measure):
     assert abs(np.mean(counts) - want) / want < 0.05
 
 
-def test_fast_respects_accuracy_knob(block_measure):
-    g = mfng.fast_sample(800, block_measure, np.random.default_rng(2), accuracy=4.0)
-    want = mfng.expected_edges(block_measure, 800)
-    assert abs(g.edge_count - want) / want < 0.25
-
-
 def test_fast_stops_at_the_drawn_target(block_measure):
     # The target is the first draw of the generator: a normal around the
     # closed-form edge mean, truncated to an int.
@@ -611,55 +605,37 @@ def test_fast_stalls_on_unreachable_target():
                         f"({err.placed} of {err.target} edges placed)")
 
 
-def test_fast_does_not_stall_while_it_still_places_edges(block_measure):
-    # At a high accuracy almost every box places nothing, so runs of more
-    # than 10 000 empty boxes fall inside rounds that still place edges.
-    n, meas = 100, mfng.make_measure(block_measure.lengths, block_measure.probs, k=12)
+def test_fast_does_not_stall_while_it_still_places_edges(block_measure, monkeypatch):
+    # At k = 24, far past log_2 n, most boxes are empty.  In these draws
+    # runs of 72 to 102 empty boxes fall inside rounds that still place
+    # edges, while the longest run at the end of the boxes counted so far
+    # is 49: only those may reach the stall limit.
+    monkeypatch.setattr(sampler, "_MAX_CONSECUTIVE_REJECTS", 60)
+    n, meas = 20_000, mfng.make_measure(block_measure.lengths, block_measure.probs, k=24)
     moments = mfng.edge_moments(make_noise_schedule(meas, 0.0), n)
-    for seed in range(8):
+    for seed in range(6):
         target = int(max(np.random.default_rng(seed).normal(moments.mean, moments.std), 0.0))
-        g = mfng.fast_sample(n, meas, np.random.default_rng(seed), accuracy=4000)
+        g = mfng.fast_sample(n, meas, np.random.default_rng(seed))
         assert g.edge_count == target > 0
 
 
-def test_fast_samplers_refuse_an_accuracy_beyond_the_box_budget(block_measure, monkeypatch):
-    # accuracy * E[edges] boxes is far beyond the budget: the run is refused
-    # before any box is drawn, where it once ran without end.
+def test_fast_samplers_refuse_expected_edges_beyond_the_box_budget(block_measure, monkeypatch):
+    # About 490 expected edges, so about as many boxes, against a budget of
+    # 100: the run is refused before any box is drawn.
     def no_box_draws(*args, **kwargs):
         raise AssertionError("a box was drawn")
 
+    monkeypatch.setattr(sampler, "_MAX_EXPECTED_BOXES", 100)
     monkeypatch.setattr(QTable, "sample_pairs", no_box_draws)
     with pytest.raises(TooLargeError, match="box draws"):
-        mfng.fast_sample(300, block_measure, np.random.default_rng(0), accuracy=1e300)
+        mfng.fast_sample(300, block_measure, np.random.default_rng(0))
     with pytest.raises(TooLargeError, match="box draws"):
-        mfng.noisy_sample(300, block_measure, 0.05, np.random.default_rng(0), accuracy=1e300)
-
-
-def test_fast_config_validation(block_measure):
-    for accuracy in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            mfng.fast_sample(100, block_measure, np.random.default_rng(0),
-                             accuracy=accuracy)
-        with pytest.raises(DomainError):
-            mfng.noisy_sample(100, block_measure, 0.1, np.random.default_rng(0),
-                              accuracy=accuracy)
-
-
-@pytest.mark.parametrize("accuracy", [5e-324, 1e-310])
-def test_fast_samplers_take_an_accuracy_whose_rate_divisor_underflows(block_measure, accuracy):
-    # accuracy * pair_mass is 0: every box's rate goes to the cap, so each
-    # box asks for all its pairs, and an empty box still places none.
-    for sample in (lambda rng: mfng.fast_sample(300, block_measure, rng, accuracy=accuracy),
-                   lambda rng: mfng.noisy_sample(300, block_measure, 0.05, rng,
-                                                 accuracy=accuracy)):
-        g = sample(np.random.default_rng(3))
-        assert g.n == 300 and g.edge_count > 0
+        mfng.noisy_sample(300, block_measure, 0.05, np.random.default_rng(0))
 
 
 _SAMPLERS = {
     "naive": mfng.naive_sample,
     "fast": mfng.fast_sample,
-    "fast-accuracy-4": lambda n, meas, rng: mfng.fast_sample(n, meas, rng, accuracy=4.0),
     "noisy": lambda n, meas, rng: mfng.noisy_sample(n, meas, 0.05, rng),
     "intersection": lambda n, meas, rng: mfng.sample_by_intersection(
         n, make_noise_schedule(meas, 0.05, rng).level_matrices, meas.lengths, rng),
@@ -671,8 +647,6 @@ _SAMPLERS = {
 @pytest.mark.parametrize("spec, n, sampler_name, edges, digest", [
     (_BLOCK_K10, 2000, "fast", 21946,
      "dcd4c5db0ffd4a697965e485954023311eadcd35eeaa3708f5fe3cac471e9ccb"),
-    (_BLOCK_K10, 2000, "fast-accuracy-4", 21946,
-     "dcdfca86053420fdfba64d69104c7eafc004d2dc57dda412a3f9d99e0268b3cc"),
     (_BLOCK_K10, 2000, "noisy", 21306,
      "37c3f87d018e8da02d3f1166736958f4ef90ad1d9004131972f08cbd8ea2e60c"),
     (_THREE_CAT, 2000, "fast", 206221,
@@ -683,7 +657,7 @@ _SAMPLERS = {
      "a7a4f89ea0afcd2136bbf49dfd1509ace801ee1879a15d1c3486b301c657ffc8"),
     (_SKEWED_K7, 2000, "intersection", 573,
      "c9cbdf5aba619395e4e8d3bbe4254c77c740022e0215da6f56dcd4614d5ab8a7"),
-], ids=["fast-accuracy-1", "fast-accuracy-4", "noisy-b-0.05", "fast-m-3", "fast-dense-core",
+], ids=["fast-accuracy-1", "noisy-b-0.05", "fast-m-3", "fast-dense-core",
         "naive", "exact-noisy-b-0.05"])
 def test_seed_to_graph_mapping_is_pinned(spec, n, sampler_name, edges, digest):
     g = _SAMPLERS[sampler_name](n, mfng.make_measure(*spec[:2], k=spec[2]),
