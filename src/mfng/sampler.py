@@ -6,18 +6,21 @@ One exact sampler and one approximate one:
   given them, pair (u, v) is an independent edge with probability K_uv,
   the product over levels of that level's link probability.  It takes one
   matrix per level, and ``naive_sample`` is its case of k copies of a
-  measure's matrix.  The draw is Poisson ball dropping over the m^k
-  category codes, then thinning (Ramani, Eikmeier & Gleich, SIAM Review
-  2019): node u sends a Poisson number of balls, each ball picks its target
-  code a level at a time from mode products of the code occupancy (Van
-  Loan 2000) and then a node of that code, and each pair hit is kept with
-  a probability that makes it an edge with probability K_uv exactly.  Work
-  is about linear in n and the edge count, plus (k + 1) m^(k + 1) for the
-  code tensors.  Beyond ``_MAX_CODE_CELLS`` of those, or when K_ab = 1 for
-  some occupied codes a and b, a = b included (so also when a single node
-  sits on a code whose self-link is 1), the same law is drawn by scanning
-  the node pairs a block of rows at a time, each level flipping one coin
-  per pair still standing: O(n^2).
+  measure's matrix.  The draw is Poisson ball dropping over the category
+  codes of the first h levels, h the least depth with m^h >= n (at most k
+  and within ``_MAX_CODE_CELLS``), then thinning (Ramani, Eikmeier &
+  Gleich, SIAM Review 2019): node u sends a Poisson number of balls, each
+  ball picks its target code a level at a time from mode products of the
+  code occupancy (Van Loan 2000) and then a node of that code, and each
+  pair hit is kept with a probability that makes it an edge with
+  probability K_uv exactly.  Each level past the head is bounded by its
+  largest entry, and the rates by their product.  When every level's
+  largest entry is 1, the pairs whose head links are all 1 would take
+  infinitely many balls: they are enumerated instead, by joining occupied
+  code prefixes a digit at a time over the cells that are 1, and each
+  flips one coin with its tail link.  Work is about linear in n, the edge
+  count and those certain pairs, plus (h + 1) m^(h + 1) for the code
+  tensors.
 * ``fast_sample`` — the approximate box-dropping generator: draw a target
   edge count from the closed-form moments, then, in rounds of whole-array
   work, pick category boxes with probability proportional to their expected
@@ -127,13 +130,10 @@ class CategoryIndex:
 # exact sampler
 # ---------------------------------------------------------------------------
 
-# Ball dropping builds k + 1 tensors over the m^k category codes, each by a
-# mode product that reads m cells for each cell it writes.  When those reads,
-# (k + 1) m^(k + 1), exceed this budget, the row-block scan runs instead.
+# Ball dropping builds h + 1 tensors over the m^h codes of the first h
+# levels, each by a mode product that reads m cells for each cell it writes:
+# (h + 1) m^(h + 1) reads, at most this many.
 _MAX_CODE_CELLS = 1 << 23
-
-# Rows of node pairs drawn per block; bounds the row-block scan's memory.
-_PAIR_BLOCK = 256
 
 
 def _unperturbed(matrices: Sequence[np.ndarray], lengths) -> NoiseSchedule:
@@ -162,18 +162,21 @@ def sample_by_intersection(
     that level's link probability of their categories, independently of
     every other pair; per-level matrices give the exact noisy variant.
 
-    The draw is Poisson ball dropping over the m^k category codes, then
-    thinning (see ``_drop_balls``): work about linear in n and the edge
-    count, plus (k + 1) m^(k + 1) for the code tensors.  The row-block scan
-    (``_scan_pairs``), O(n^2), draws the same law instead when those
-    (k + 1) m^(k + 1) cells exceed ``_MAX_CODE_CELLS``, or when K_ab = 1
-    for some occupied codes a and b, which would take infinitely many
-    balls.  The case a = b counts too, so a single node alone on a code
-    whose self-link is 1 also sends the draw to the scan, though it has no
-    pair there.
+    The draw drops balls over the codes of the first h levels (see
+    ``_head_depth`` and ``_drop_balls``) and enumerates the pairs whose
+    head links are all 1 when there can be any (``_certain_pairs``).
     """
     schedule = _unperturbed(level_matrices, lengths)
     return _sample_exact(n, schedule.level_matrices, schedule.lengths, rng)
+
+
+def _head_depth(n: int, m: int, k: int) -> int:
+    """The least depth h with m^h >= n, capped at k and at the deepest
+    whose (h + 1) m^(h + 1) code cells fit ``_MAX_CODE_CELLS``."""
+    h = 0
+    while h < k and m ** h < n and (h + 2) * m ** (h + 2) <= _MAX_CODE_CELLS:
+        h += 1
+    return h
 
 
 def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, rng) -> Graph:
@@ -183,74 +186,74 @@ def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, r
     m, k = lengths.size, len(matrices)
     rng = np.random.default_rng(rng)
     levels = _draw_levels(n, k, lengths, rng)
-    # The one dispatch: ball dropping within the cell budget, unless some
-    # occupied codes a and b, a = b included, link with probability 1.
-    if (k + 1) * m ** (k + 1) <= _MAX_CODE_CELLS:
-        codes = encode_categories(levels, m)
-        index = CategoryIndex(codes)
-        occupancy = np.zeros(m ** k)
-        occupancy[index.codes] = index.counts
-        largest = _largest_link(matrices, occupancy)
-        if largest < 1.0:
-            return Graph(n, _drop_balls(levels, codes, index, occupancy, matrices, largest, rng))
-    return Graph(n, _scan_pairs(levels, matrices, rng))
+    h = _head_depth(n, m, k)
+    codes = encode_categories(levels[:, :h], m)
+    index = CategoryIndex(codes)
+    tops = [float(probs.max()) for probs in matrices]
+    tail = math.prod(tops[h:], start=1.0)
+    # No link exceeds the product of the levels' largest entries.  Only when
+    # that is 1 can a pair be certain; then every tail bound is 1, the balls
+    # leave out the pairs whose head links are all 1, and no other pair's
+    # link exceeds the largest head entry below 1.
+    largest = tail * math.prod(tops[:h], start=1.0)
+    certain = largest == 1.0
+    if certain:
+        largest = max((float(probs[probs < 1.0].max(initial=0.0)) for probs in matrices[:h]),
+                      default=0.0)
+    # mu's limit at largest -> 0 is 1, but at 0 no ball could be kept, so none is sent.
+    mu = -math.log1p(-largest) / largest if largest > 0.0 else 0.0
+    keys = _drop_balls(levels, h, codes, index, matrices, mu * tail, certain, rng)
+    if certain:
+        extra = _certain_pairs(levels, h, index, matrices, rng)
+        keys = np.insert(keys, np.searchsorted(keys, extra), extra)
+    return Graph(n, keys)
 
 
-def _mode_product(probs: np.ndarray, tensor: np.ndarray, r: int, reduce: np.ufunc) -> np.ndarray:
+def _mode_product(probs: np.ndarray, tensor: np.ndarray, r: int) -> np.ndarray:
     """Level r's matrix applied along digit r of a flat tensor over base-m
-    codes (digit 0 most significant): ``out[.., i, ..] = reduce over j of
+    codes (digit 0 most significant): ``out[.., i, ..] = sum over j of
     probs[i, j] * tensor[.., j, ..]``."""
     m = probs.shape[0]
     cells = tensor.reshape(m ** r, 1, m, -1)
-    return reduce.reduce(probs[:, :, None] * cells, axis=2).ravel()
+    return np.add.reduce(probs[:, :, None] * cells, axis=2).ravel()
 
 
-def _largest_link(matrices: Sequence[np.ndarray], occupancy: np.ndarray) -> float:
-    """The largest ``K_ab`` over codes a and b that both hold a node: the
-    occupied codes' indicator taken through every level's (max, x) mode
-    product, read at the occupied codes."""
-    occupied = occupancy > 0
-    best = occupied.astype(float)
-    for r in reversed(range(len(matrices))):
-        best = _mode_product(matrices[r], best, r, np.maximum)
-    return float(best[occupied].max())
-
-
-def _drop_balls(levels: np.ndarray, codes: np.ndarray, index: CategoryIndex,
-                occupancy: np.ndarray, matrices: Sequence[np.ndarray], largest: float,
+def _drop_balls(levels: np.ndarray, h: int, codes: np.ndarray, index: CategoryIndex,
+                matrices: Sequence[np.ndarray], rate: float, certain: bool,
                 rng: np.random.Generator) -> np.ndarray:
-    """Sorted edge keys of one exact draw given the nodes' categories.
+    """Sorted edge keys of one exact draw given the nodes' categories,
+    every pair whose first h links are all 1 left out when ``certain``.
 
-    ``W_k`` is the occupancy c of the codes, and ``W_r`` is level r's
-    matrix applied along digit r of ``W_(r+1)`` (Van Loan 2000), so
-    ``W_r[b_0..b_(r-1), a_r..a_(k-1)]`` sums ``c_b`` times the links of
-    levels r.. over codes b that start with b_0..b_(r-1), and
-    ``W_0 = K c``.  Node u, with code a, sends Poisson(mu/2 (K c)_a) balls.
-    A ball picks its target code a digit at a time, digit j at level r
-    with weight ``P_r[a_r, j] W_(r+1)[b_0..b_(r-1), j, a_(r+1)..]``; the
-    weights telescope to ``K_ab c_b / (K c)_a``, and the ball then hits a
-    node of code b uniformly.  So each pair u != v takes Poisson(mu K_uv)
-    balls, independently of every other pair; self-hits are dropped.  A
-    hit pair is kept with probability ``K_uv / (1 - exp(-mu K_uv))``, at
-    most 1 for ``K_uv`` up to ``largest`` when ``mu = -log(1 - largest) /
-    largest``, so it is an edge with probability ``K_uv`` (Ramani, Eikmeier
-    & Gleich, SIAM Review 2019).
+    Over the codes of the first h levels, ``W_h`` is the occupancy c, and
+    ``W_r`` is level r's matrix applied along digit r of ``W_(r+1)`` (Van
+    Loan 2000), so ``W_r[b_0..b_(r-1), a_r..a_(h-1)]`` sums ``c_b`` times
+    the links of levels r..h-1 over codes b that start with b_0..b_(r-1),
+    and ``W_0 = H c`` for the head links H.  Node u, with code a, sends
+    Poisson(rate/2 (H c)_a) balls.  A ball picks its target code a digit at
+    a time, digit j at level r with weight ``P_r[a_r, j] W_(r+1)[b_0..b_(r-1),
+    j, a_(r+1)..]``; the weights telescope to ``H_ab c_b / (H c)_a``, and
+    the ball then hits a node of code b uniformly.  So each pair u != v
+    takes Poisson(rate H_uv) balls, independently of every other pair;
+    self-hits are dropped.  A hit pair is kept with probability
+    ``K_uv / (1 - exp(-rate H_uv))``, K_uv its full link, so it is an edge
+    with probability ``K_uv`` (Ramani, Eikmeier & Gleich, SIAM Review 2019)
+    as long as that is at most 1, which ``_sample_exact`` sees to by its
+    choice of rate.
     """
-    m, k, n = matrices[0].shape[0], len(matrices), codes.size
+    m, n = matrices[0].shape[0], codes.size
     steps = np.arange(m)
-    tensors = [occupancy]
-    for r in reversed(range(k)):
-        tensors.append(_mode_product(matrices[r], tensors[-1], r, np.add))
+    tensors = [np.zeros(m ** h)]
+    tensors[0][index.codes] = index.counts
+    for r in reversed(range(h)):
+        tensors.append(_mode_product(matrices[r], tensors[-1], r))
     tensors.reverse()
-    # mu's limit at largest -> 0 is 1; at 0 every rate is 0 anyway.
-    mu = -math.log1p(-largest) / largest if largest > 0.0 else 1.0
 
-    source = np.repeat(np.arange(n), rng.poisson(0.5 * mu * tensors[0][codes]))
+    source = np.repeat(np.arange(n), rng.poisson(0.5 * rate * tensors[0][codes]))
     # A ball's cell of W_r: its target's digits before r, its source's from r.
     cell = codes[source]
     link = np.ones(source.size)
-    for r, probs in enumerate(matrices):
-        stride = m ** (k - 1 - r)
+    for r, probs in enumerate(matrices[:h]):
+        stride = m ** (h - 1 - r)
         digit = levels[source, r]
         base = cell - digit * stride
         cumulative = (probs[digit] * tensors[r + 1][base[:, None] + steps * stride]).cumsum(axis=1)
@@ -259,6 +262,10 @@ def _drop_balls(levels: np.ndarray, codes: np.ndarray, index: CategoryIndex,
         pick = (x[:, None] >= cumulative[:, :-1]).sum(axis=1)
         cell = base + pick * stride
         link *= probs[digit, pick]
+    if certain:
+        # Only a product of entries that are all 1 is 1.
+        below = link < 1.0
+        source, cell, link = source[below], cell[below], link[below]
     start, count = index.lookup(cell)
     target = index.nodes[start + rng.integers(0, count)]
 
@@ -266,30 +273,51 @@ def _drop_balls(levels: np.ndarray, codes: np.ndarray, index: CategoryIndex,
     source, target, link = source[hit], target[hit], link[hit]
     keys, first = np.unique(np.minimum(source, target) * n + np.maximum(source, target),
                             return_index=True)
-    link = link[first]
-    return keys[rng.random(keys.size) * -np.expm1(-mu * link) < link]
+    source, target, link = source[first], target[first], link[first]
+    full = link * _tail_link(levels, h, matrices, source, target)
+    return keys[rng.random(keys.size) * -np.expm1(-rate * link) < full]
 
 
-def _scan_pairs(levels: np.ndarray, matrices: Sequence[np.ndarray],
-                rng: np.random.Generator) -> np.ndarray:
-    """Sorted edge keys of one exact draw given the nodes' categories, by
-    scanning pairs u < v a block of rows at a time: each level flips one
-    coin per pair still standing, with that level's link probability, and a
-    pair that passes every level is an edge.  The levels are independent,
-    so this is one coin with the product probability."""
-    n = levels.shape[0]
-    keys = []  # each block's keys u * n + v: blocks go by row, nonzero is row-major
-    for u0 in range(0, n, _PAIR_BLOCK):
-        # A block of rows from u0 against columns u0+1..n-1; triu keeps v > u.
-        row_cats, col_cats = levels[u0:u0 + _PAIR_BLOCK, 0], levels[u0 + 1:, 0]
-        p = np.triu(matrices[0][row_cats[:, None], col_cats[None, :]])
-        iu, iv = np.nonzero(rng.random(p.shape) < p)
-        iu, iv = iu + u0, iv + u0 + 1
-        for r, probs in enumerate(matrices[1:], start=1):
-            keep = rng.random(iu.size) < probs[levels[iu, r], levels[iv, r]]
-            iu, iv = iu[keep], iv[keep]
-        keys.append(iu * n + iv)
-    return np.concatenate(keys)
+def _tail_link(levels: np.ndarray, h: int, matrices: Sequence[np.ndarray],
+               u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The links of levels h.. of node pairs (u, v), multiplied."""
+    link = np.ones(u.size)
+    for r in range(h, len(matrices)):
+        link *= matrices[r][levels[u, r], levels[v, r]]
+    return link
+
+
+def _certain_pairs(levels: np.ndarray, h: int, index: CategoryIndex,
+                   matrices: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+    """Sorted edge keys among the node pairs whose first h links are all 1.
+
+    Code pairs a <= b of occupied prefixes are joined a digit at a time,
+    over the cells of each level whose entry is 1; a pair of equal codes
+    extends only by i <= j, and a pair a < b stays ordered whatever it
+    extends by.  Each node pair of the resulting code pairs is then an edge
+    with its tail link, one coin each.
+    """
+    m, n = matrices[0].shape[0], levels.shape[0]
+    a = b = np.zeros(1, dtype=np.int64)  # code pairs of the prefixes so far
+    for r in range(h):
+        # The occupied codes' prefixes of r + 1 digits, sorted.
+        prefix = index.codes // m ** (h - 1 - r)
+        i, j = np.nonzero(matrices[r] == 1.0)
+        a, b = (a[:, None] * m + i).ravel(), (b[:, None] * m + j).ravel()
+        keep = (a <= b) & _search_sorted(prefix, a)[1] & _search_sorted(prefix, b)[1]
+        a, b = a[keep], b[keep]
+    # Every node pair (s, t) of each code pair, s < t within one code.
+    pos_a, pos_b = np.searchsorted(index.codes, a), np.searchsorted(index.codes, b)
+    size = index.counts[pos_a] * index.counts[pos_b]
+    owner = np.repeat(np.arange(a.size), size)
+    s, t = np.divmod(np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size),
+                     index.counts[pos_b][owner])
+    keep = (a[owner] < b[owner]) | (s < t)
+    owner, s, t = owner[keep], s[keep], t[keep]
+    u = index.nodes[index.starts[pos_a][owner] + s]
+    v = index.nodes[index.starts[pos_b][owner] + t]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    return np.sort(keys[rng.random(keys.size) < _tail_link(levels, h, matrices, u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +521,9 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     """Draw per-level matrices for the noisy sampler (two categories only).
 
     ``offsets[i]`` is the uniform draw applied at level i; each level matrix
-    adds it to the off-diagonal entries and rebalances the diagonal so the
-    diagonal sum is preserved, then clamps entrywise to [0, 1].  With b == 0
+    adds it to the off-diagonal entries and takes 2 * offset from the
+    diagonal, split in proportion to the diagonal entries, so the total of
+    all four entries is preserved, then clamps entrywise to [0, 1].  With b == 0
     the schedule repeats the measure's matrix bit for bit and consumes no
     randomness, so noisy runs at zero amplitude reproduce the plain samplers
     exactly.

@@ -21,9 +21,7 @@ from mfng.features import _search_sorted
 from mfng.measure import NoiseSchedule
 from mfng.oracle import exact_subgraph_probability
 from mfng.sampler import (
-    _MAX_CODE_CELLS,
     _MAX_CONSECUTIVE_REJECTS,
-    _PAIR_BLOCK,
     CategoryIndex,
     QTable,
     _draw_levels,
@@ -130,14 +128,14 @@ def test_naive_deterministic(block_measure_k4):
     assert g1 == g2
 
 
-# Spans three row blocks, the last one partial.
-N_BLOCKS = 2 * _PAIR_BLOCK + 37
+# Many nodes on each of the m^k = 16 codes of the k = 4 block measure.
+N_CROWDED = 549
 
 
 def test_naive_complete_and_empty_extremes():
     full = mfng.make_measure([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]], k=3)
     empty = mfng.make_measure([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]], k=3)
-    for n in (12, N_BLOCKS):
+    for n in (12, N_CROWDED):
         g = mfng.naive_sample(n, full, np.random.default_rng(0))
         assert g.edge_count == math.comb(n, 2)
         g = mfng.naive_sample(n, empty, np.random.default_rng(0))
@@ -146,11 +144,10 @@ def test_naive_complete_and_empty_extremes():
 
 def test_naive_is_intersection_over_k_copies(block_measure_k4):
     meas = block_measure_k4
-    assert N_BLOCKS % _PAIR_BLOCK and N_BLOCKS > 2 * _PAIR_BLOCK
     for seed in (0, 1, 2):
-        a = mfng.naive_sample(N_BLOCKS, meas, np.random.default_rng(seed))
+        a = mfng.naive_sample(N_CROWDED, meas, np.random.default_rng(seed))
         b = mfng.sample_by_intersection(
-            N_BLOCKS, [meas.probs] * meas.k, meas.lengths, np.random.default_rng(seed))
+            N_CROWDED, [meas.probs] * meas.k, meas.lengths, np.random.default_rng(seed))
         assert a == b
 
 
@@ -241,55 +238,49 @@ def test_intersection_rejects_a_ragged_matrix():
             10, [[[0.5, 0.5], [0.5]]], [0.5, 0.5], np.random.default_rng(0))
 
 
-def record_exact_paths(monkeypatch):
-    """Names of the exact draws taken from here on, in call order: "balls"
-    for ball dropping, "scan" for the row-block scan."""
-    paths = []
+class CountingGenerator(np.random.Generator):
+    """A generator that counts the uniforms drawn through ``random``."""
 
-    def recorded(name, draw):
-        def record(*args):
-            paths.append(name)
-            return draw(*args)
-        return record
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.uniforms = 0
 
-    monkeypatch.setattr(sampler, "_drop_balls", recorded("balls", sampler._drop_balls))
-    monkeypatch.setattr(sampler, "_scan_pairs", recorded("scan", sampler._scan_pairs))
-    return paths
+    def random(self, size=None, *args, **kwargs):
+        self.uniforms += 1 if size is None else math.prod(np.atleast_1d(size))
+        return super().random(size, *args, **kwargs)
 
 
-@pytest.mark.parametrize("m, inside, outside", [(2, 17, 18), (3, 11, 12)])
-def test_exact_sampler_drops_balls_up_to_the_cell_budget(monkeypatch, m, inside, outside):
-    # The deepest schedule whose (k + 1) m^(k + 1) cells fit the budget
-    # drops balls; one level more scans the pairs.
-    def cells(k):
-        return (k + 1) * m ** (k + 1)
-
-    assert cells(inside) <= _MAX_CODE_CELLS < cells(outside) and outside == inside + 1
-    paths = record_exact_paths(monkeypatch)
-    probs, lengths = np.full((m, m), 0.9), np.full(m, 1.0 / m)
-    for k in (inside, outside):
-        g = mfng.sample_by_intersection(30, [probs] * k, lengths, np.random.default_rng(k))
-        assert g.n == 30
-    assert paths == ["balls", "scan"]
+@pytest.mark.parametrize("spec, n, seed", [
+    ((*_SKEWED_K7[:2], 6), 10_000, 2),
+    ((*_BLOCK_K10[:2], 34), 20_000, 0),
+], ids=["skewed-with-certain-pairs", "block-far-past-log-m-n"])
+def test_exact_sampler_work_is_far_below_the_pair_count(spec, n, seed):
+    # A draw asks for fewer uniforms than 2% of the C(n, 2) pairs: at k = 6
+    # on the skewed measure two or three nodes share code 0, whose pairs
+    # are certain, and at k = 34 most levels lie past log_2 n.
+    rng = CountingGenerator(seed)
+    g = mfng.naive_sample(n, mfng.make_measure(*spec[:2], k=spec[2]), rng)
+    assert g.n == n and 0 < rng.uniforms < 0.02 * math.comb(n, 2), rng.uniforms
 
 
-def test_exact_sampler_scans_when_an_occupied_pair_is_certain(monkeypatch):
+def test_exact_sampler_keeps_every_certain_pair():
     # At b = 0 the skewed measure links two nodes of the all-zero code with
-    # probability 1, where ball dropping would need infinitely many balls: a
-    # draw that puts a node on that code scans, any other drops balls.
+    # probability 1: every such pair is an edge, on the naive and the
+    # schedule route alike, and some seed puts two or more nodes there.
     meas = mfng.make_measure(*_SKEWED_K7[:2], k=2)
     schedule = make_noise_schedule(meas, 0.0)
-    paths = record_exact_paths(monkeypatch)
-    n, certain = 20, []
+    n, crowded = 20, 0
     for seed in range(16):
         levels = _draw_levels(n, meas.k, meas.lengths, np.random.default_rng(seed))
-        certain.append(bool(np.any(np.all(levels == 0, axis=1))))
+        zero = np.flatnonzero(np.all(levels == 0, axis=1))
         a = mfng.naive_sample(n, meas, np.random.default_rng(seed))
         b = mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
                                         np.random.default_rng(seed))
         assert a == b and a.n == n
-    assert paths == [("scan" if c else "balls") for c in certain for _ in range(2)]
-    assert 0 < sum(certain) < len(certain)
+        keys = np.array([u * n + v for u, v in itertools.combinations(zero, 2)], dtype=np.int64)
+        assert _search_sorted(a._keys, keys)[1].all()
+        crowded += zero.size >= 2
+    assert crowded > 0
 
 
 def labelled_graph_law(model, n):
@@ -321,12 +312,19 @@ _PAST_BUDGET = ([0.1, 0.2, 0.3, 0.4], [[0.99, 0.9, 0.85, 0.9], [0.9, 0.97, 0.9, 
 _CERTAIN_CORE = NoiseSchedule((np.array([[1.0, 0.5], [0.5, 0.3]]),
                                np.array([[1.0, 0.2], [0.2, 0.7]])),
                               np.zeros(2), np.array([0.4, 0.6]))
+_CERTAIN_WITH_A_TAIL = NoiseSchedule(_CERTAIN_CORE.level_matrices
+                                     + (np.array([[1.0, 0.4], [0.4, 0.8]]),),
+                                     np.zeros(3), np.array([0.4, 0.6]))
 _LAW_CASES = {
     "block": mfng.make_measure(*_BLOCK_K10[:2], k=3),
     "m-3": mfng.make_measure(*_THREE_CAT[:2], k=2),
-    # p = 1 for code 00 with itself: a draw that puts a node there scans.
+    # p = 1 for code 00 with itself: two nodes there are enumerated.
     "schedule-with-a-certain-cell": _CERTAIN_CORE,
+    # m^k past the cell budget: 8 of its 9 levels lie past the head.
     "past-the-cell-budget": mfng.make_measure(*_PAST_BUDGET),
+    # At n = 3 and 4 the head is 2 levels, so enumerated pairs of code 00
+    # take the third level's coin.
+    "certain-cell-with-a-tail": _CERTAIN_WITH_A_TAIL,
 }
 
 
@@ -336,22 +334,16 @@ def test_exact_draws_follow_the_whole_graph_law(case, n):
     # The frequency of every labelled graph on n nodes over 20,000 draws
     # against its probability: Pearson's chi-square, with graphs expected
     # fewer than 5 times pooled, passes unless its tail is below a 4-sigma
-    # band's (6.3e-5).  Only the last case is past the cell budget.
+    # band's (6.3e-5).
     from scipy.stats import chi2
 
     model = _LAW_CASES[case]
     if isinstance(model, NoiseSchedule):
-        k = len(model.level_matrices)
-
         def sample(n, rng):
             return mfng.sample_by_intersection(n, model.level_matrices, model.lengths, rng)
     else:
-        k = model.k
-
         def sample(n, rng):
             return mfng.naive_sample(n, model, rng)
-    m = model.lengths.size
-    assert ((k + 1) * m ** (k + 1) > _MAX_CODE_CELLS) == (case == "past-the-cell-budget")
 
     law = labelled_graph_law(model, n)
     assert law.min() > 0 and math.isclose(law.sum(), 1.0, rel_tol=1e-12)
@@ -368,18 +360,20 @@ def test_exact_draws_follow_the_whole_graph_law(case, n):
 
 
 def test_exact_draws_follow_the_closed_forms_beyond_log_m_n_levels():
-    # k = 14 levels over n = 3000 nodes (log2 n = 11.6): most codes hold no
-    # node, the regime where the fast sampler's clustering drifts.  The mean
-    # S2, S3 and C3 of 12 draws lie within 4 se of the closed forms.
-    meas = mfng.make_measure(*_BLOCK_K10[:2], k=14)
-    n, draws, keys = 3000, 12, ("S2", "S3", "C3")
-    counts = np.array([
-        [mfng.feature_vector(g, keys).value(key) for key in keys]
-        for g in (mfng.naive_sample(n, meas, spawned(140, i)) for i in range(draws))])
-    want = mfng.expected_feature_vector(meas, n, keys)
-    z = (counts.mean(axis=0) - [want.value(key) for key in keys]) / (
-        counts.std(axis=0, ddof=1) / math.sqrt(draws))
-    assert np.all(np.abs(z) < 4.0), dict(zip(keys, z))
+    # k = 14 levels over n = 3000 nodes (log2 n = 11.6), and k = 20 over
+    # n = 20,000 (5 levels past the head of 15): most codes hold no node,
+    # the regime where the fast sampler's clustering drifts.  The mean S2,
+    # S3 and C3 of 12 draws lie within 4 se of the closed forms.
+    keys, draws = ("S2", "S3", "C3"), 12
+    for k, n in ((14, 3000), (20, 20_000)):
+        meas = mfng.make_measure(*_BLOCK_K10[:2], k=k)
+        counts = np.array([
+            [mfng.feature_vector(g, keys).value(key) for key in keys]
+            for g in (mfng.naive_sample(n, meas, spawned(10 * k, i)) for i in range(draws))])
+        want = mfng.expected_feature_vector(meas, n, keys)
+        z = (counts.mean(axis=0) - [want.value(key) for key in keys]) / (
+            counts.std(axis=0, ddof=1) / math.sqrt(draws))
+        assert np.all(np.abs(z) < 4.0), (k, n, dict(zip(keys, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +649,8 @@ _SAMPLERS = {
      "0429fa4ccdaee2746994aa3b01914272b27b03f2f59d1e0c63f4a8c359566c64"),
     (_BLOCK_K10, 2000, "naive", 21854,
      "a7a4f89ea0afcd2136bbf49dfd1509ace801ee1879a15d1c3486b301c657ffc8"),
-    (_SKEWED_K7, 2000, "intersection", 573,
-     "c9cbdf5aba619395e4e8d3bbe4254c77c740022e0215da6f56dcd4614d5ab8a7"),
+    (_SKEWED_K7, 2000, "intersection", 506,
+     "3da83d432c02a8f1ba0d58da052b8ffad09ad15d36b46f0d1a2f793a62403c8e"),
 ], ids=["fast-accuracy-1", "noisy-b-0.05", "fast-m-3", "fast-dense-core",
         "naive", "exact-noisy-b-0.05"])
 def test_seed_to_graph_mapping_is_pinned(spec, n, sampler_name, edges, digest):
@@ -743,6 +737,9 @@ def test_noise_schedule_formula(block_measure):
             [p[1, 0] + mu, p[1, 1] - 2 * mu * p[1, 1] / diag],
         ])
         assert np.allclose(mat, np.clip(want, 0.0, 1.0), rtol=0, atol=1e-15)
+        if np.all((want >= 0.0) & (want <= 1.0)):
+            # Unclamped, the level keeps the total of the four entries.
+            assert math.isclose(mat.sum(), p.sum(), rel_tol=1e-12)
         assert mat[0, 1] == mat[1, 0]
         assert np.all((mat >= 0.0) & (mat <= 1.0))
 
