@@ -57,7 +57,6 @@ from .sampler import (
     fast_sample,
     naive_sample,
     noisy_sample,
-    sample_by_intersection,
 )
 
 __version__ = "0.1.0"

@@ -14,15 +14,16 @@ the number of ways to place the pattern.  Binomial placement counts are
 kept in log space so that the astronomically large counts of, say, 4-stars
 on 10^5 nodes never overflow.
 
-Every closed form reads its model as (level matrices, lengths, depth): a
-measure is its one matrix taken k times, and a :class:`NoiseSchedule` its k
-level matrices taken once each.  ``_level_survivals`` is that one reader,
-``_level_bases`` the only code that computes per-level survivals, for a
-stack of lanes, and ``_log_expected`` the one log-space step, log
-placements + depth * (sum over levels of log base).  The public closed
-forms read one model, and the fit's objective evaluates many measures, one
-level each, in one call.  ``edge_moments`` of a schedule of k copies of a
-measure's matrix is the fast sampler's edge target.
+Every closed form, and every sampler, reads its model as (level matrices,
+lengths, depth): a measure is its one matrix taken k times, and a
+:class:`NoiseSchedule` its k level matrices taken once each.
+``_model_levels`` is that one reader, ``_level_survivals`` turns what it
+reads into per-level survivals through ``_level_bases``, the only code that
+computes them, for a stack of lanes, and ``_log_expected`` is the one
+log-space step, log placements + depth * (sum over levels of log base).
+The public closed forms read one model, and the fit's objective evaluates
+many measures, one level each, in one call.  ``edge_moments`` of a schedule
+of k copies of a measure's matrix is the fast sampler's edge target.
 """
 
 from __future__ import annotations
@@ -288,21 +289,46 @@ def _check_depth(k, m: int) -> int:
 # per-level survival factors
 # ---------------------------------------------------------------------------
 
+def _model_levels(model: GeneratingMeasure | NoiseSchedule
+                  ) -> tuple[tuple[np.ndarray, ...], np.ndarray, int]:
+    """The one reader of a model, and the only code that tells a measure
+    from a schedule: its level matrices, its lengths and the depth each
+    matrix is taken, a measure's one matrix k times and each of a
+    schedule's once.  ``matrices * depth`` is then the matrix of every
+    level in order.  Both models were checked when they were built."""
+    if isinstance(model, NoiseSchedule):
+        return model.level_matrices, model.lengths, 1
+    return (model.probs,), model.lengths, model.k
+
+
+def _one_matrix(model: GeneratingMeasure | NoiseSchedule,
+                what: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """A model's one matrix, lengths and depth, for the closed forms that
+    need every level alike; a schedule of more than one level raises
+    ``DomainError``."""
+    matrices, lengths, depth = _model_levels(model)
+    if len(matrices) != 1:
+        raise DomainError(f"{what} needs a measure, one matrix at every level; "
+                          f"got {len(matrices)} level matrices")
+    return matrices[0], lengths, depth
+
+
 def edge_survival_factor(measure: GeneratingMeasure) -> float:
-    """Per-level probability that one node pair survives: sum p_ij l_i l_j."""
+    """Per-level probability that one node pair survives: sum p_ij l_i l_j.
+    A schedule of more than one level has no one such factor and raises
+    ``DomainError``."""
+    _one_matrix(measure, "edge_survival_factor")
     return _level_survivals(measure, [("edges", 0)])[0].item()
 
 
 def _level_survivals(model: GeneratingMeasure | NoiseSchedule,
                      features: Sequence[tuple[str, int]]) -> tuple[np.ndarray, int]:
-    """The one reader of a model: each feature's survival at each of its
-    levels, a C-ordered (features, levels) array, and the depth every level
-    is taken, a measure's k for its one matrix and 1 for each of a
-    schedule's.  Each row's level sum then takes the same steps whatever
-    other features are asked for."""
-    matrices, depth = ((model.level_matrices, 1) if isinstance(model, NoiseSchedule)
-                       else ((model.probs,), model.k))
-    lengths = np.broadcast_to(model.lengths, (len(matrices), model.lengths.size))
+    """Each feature's survival at each of a model's level matrices, a
+    C-ordered (features, levels) array, and the depth every level is taken
+    (see :func:`_model_levels`).  Each row's level sum then takes the same
+    steps whatever other features are asked for."""
+    matrices, lengths, depth = _model_levels(model)
+    lengths = np.broadcast_to(lengths, (len(matrices), lengths.size))
     return np.ascontiguousarray(_level_bases(np.stack(matrices), lengths, features).T), depth
 
 
@@ -492,17 +518,19 @@ def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
     log C(n-1, d) is a running sum of log(n-1-j) - log(j+1) up to the middle
     degree, mirrored above it, so both ends are exactly zero; a zero count
     times log q, or times log(1 - q), is taken as zero, so q = 0 and q = 1
-    give exact point masses.
+    give exact point masses.  A schedule of more than one level raises
+    ``DomainError``: its levels differ, so compositions do not group them.
     """
+    probs, lengths, k = _one_matrix(measure, "expected_degree_counts")
     if n < 1:
         raise DomainError(f"expected_degree_counts needs n >= 1, got {n}")
-    m, k = measure.m, measure.k
+    m = lengths.size
     comps = np.array([np.bincount(combo, minlength=m)
                       for combo in itertools.combinations_with_replacement(range(m), k)])
     log_factorials = np.array([math.lgamma(c + 1) for c in range(k + 1)])
     log_weights = (log_factorials[k] - log_factorials[comps].sum(axis=1)
-                   + comps @ np.log(measure.lengths))
-    link = np.prod((measure.probs @ measure.lengths) ** comps, axis=1)
+                   + comps @ np.log(lengths))
+    link = np.prod((probs @ lengths) ** comps, axis=1)
     with np.errstate(divide="ignore"):  # log 0 = -inf is meant
         log_q, log_not_q = np.log(link), np.log1p(-link)
     j = np.arange(1, (n + 1) // 2)
@@ -522,8 +550,10 @@ def _times_log(counts: np.ndarray, log_value: float) -> np.ndarray:
     return np.multiply(counts, log_value, out=np.zeros(counts.shape), where=counts > 0)
 
 
-def estimate_clique_number(measure: GeneratingMeasure, n: int) -> CliqueNumberEstimate:
-    """Largest clique order whose expected count is still at least one.
+def estimate_clique_number(measure: GeneratingMeasure | NoiseSchedule,
+                           n: int) -> CliqueNumberEstimate:
+    """Largest clique order whose expected count is still at least one,
+    for a measure or a noise schedule.
 
     Scans upward from t = 1 (the expected count of single nodes is n) and
     stops at the first order whose expectation drops below one, or at the

@@ -246,13 +246,14 @@ class McStats:
 
 
 def mc_feature_stats(
-    measure: GeneratingMeasure,
+    measure: GeneratingMeasure | NoiseSchedule,
     n: int,
     features: Sequence[str],
     samples: int,
     seed: int = 0,
 ) -> McStats:
-    """Monte Carlo feature statistics from the exact naive sampler.
+    """Monte Carlo feature statistics from the exact sampler, over a measure
+    or a noise schedule.
 
     Each replicate draws from its own RNG stream keyed by (seed, replicate),
     so the result is independent of evaluation order and reproducible.

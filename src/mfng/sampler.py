@@ -1,12 +1,14 @@
-"""Graph samplers for generating measures.
+"""Graph samplers for generating measures and noise schedules.
 
-One exact sampler and one approximate one:
+Every sampler takes a model the way the closed forms do: a measure is its
+one matrix at each of k levels, a ``NoiseSchedule`` its k level matrices,
+and ``measure._model_levels`` is the one code that tells them apart.  One
+exact sampler and one approximate one:
 
-* ``sample_by_intersection`` — every node draws one category per level;
-  given them, pair (u, v) is an independent edge with probability K_uv,
-  the product over levels of that level's link probability.  It takes one
-  matrix per level, and ``naive_sample`` is its case of k copies of a
-  measure's matrix.  The draw is Poisson ball dropping over the category
+* ``naive_sample`` — every node draws one category per level; given them,
+  pair (u, v) is an independent edge with probability K_uv, the product
+  over levels of that level's link probability.  Over a schedule it is the
+  exact noisy draw.  The draw is Poisson ball dropping over the category
   codes of the first h levels, h the least depth with m^h >= n (at most k
   and within ``_MAX_CODE_CELLS``), then thinning (Ramani, Eikmeier &
   Gleich, SIAM Review 2019): node u sends a Poisson number of balls, each
@@ -26,9 +28,10 @@ One exact sampler and one approximate one:
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
   target is placed.  Expected O(|E| log |V|) work.  The target's mean and
-  variance are ``edge_moments`` of the schedule of level matrices (k copies
-  of the measure's, each taken once).  A run whose expected edge count is
-  beyond ``_MAX_EXPECTED_BOXES`` raises ``TooLargeError`` before any draw.
+  variance are ``edge_moments`` of the schedule of level matrices (a
+  measure's k copies of its matrix, each taken once).  A run whose
+  expected edge count is beyond ``_MAX_EXPECTED_BOXES`` raises
+  ``TooLargeError`` before any draw.
   A box's pair of category tuples is drawn a group of levels at a time:
   each group's table is the Kronecker product of its levels' edge masses,
   within ``_MAX_GROUP_CELLS`` cells unless it is one level, and one
@@ -41,9 +44,9 @@ Both samplers build a ``Graph``'s own form, the sorted edge keys
 ``u * n + v`` with u < v, and hand it over as it is.
 
 ``noisy_sample`` is the fast sampler over a ``make_noise_schedule`` of
-independently perturbed level matrices; the exact noisy draw is
-``sample_by_intersection`` over the same schedule, and the schedule's
-closed forms are ``measure``'s, which read it as its level matrices.
+independently perturbed level matrices, so it equals ``fast_sample`` over
+that schedule; the exact noisy draw is ``naive_sample`` over it, and its
+closed forms are ``measure``'s.  No public sampler calls another.
 
 All samplers are deterministic given (inputs, seed), and
 ``tests/test_sampler.py`` pins the graph each seed gives.  A noise schedule of
@@ -62,7 +65,7 @@ import numpy as np
 from .errors import (DegenerateDiagonalError, DomainError, StalledError, TooLargeError,
                      UnsupportedMError)
 from .features import Graph, _search_sorted
-from .measure import GeneratingMeasure, NoiseSchedule, _edge_moments
+from .measure import GeneratingMeasure, NoiseSchedule, _edge_moments, _model_levels
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -136,38 +139,22 @@ class CategoryIndex:
 _MAX_CODE_CELLS = 1 << 23
 
 
-def _unperturbed(matrices: Sequence[np.ndarray], lengths) -> NoiseSchedule:
-    """The schedule of these level matrices as they are, every offset 0."""
-    return NoiseSchedule(tuple(matrices), np.zeros(len(matrices)), lengths)
-
-
-def naive_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
-    """Exact sampler: ``sample_by_intersection`` over k copies of the matrix.
-
-    Pair (u, v) is an edge with the product over levels of the link
-    probability of their categories at that level, independently of every
-    other pair.  The measure is checked already, so its matrix is not
-    checked k more times.
-    """
-    return _sample_exact(n, [measure.probs] * measure.k, measure.lengths, rng)
-
-
-def sample_by_intersection(
-    n: int, level_matrices: Sequence[np.ndarray], lengths, rng=None
-) -> Graph:
-    """Exact sampler with one probability matrix per level.
+def naive_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng=None) -> Graph:
+    """Exact sampler over a measure or a noise schedule.
 
     Every node draws one category per level up front.  Given them, pair
     (u, v) is an edge with probability ``K_uv``, the product over levels of
     that level's link probability of their categories, independently of
-    every other pair; per-level matrices give the exact noisy variant.
+    every other pair: a measure's matrix at every level, or a schedule's
+    matrix of that level, which gives the exact noisy draw.  The model was
+    checked when it was built, so it is not checked again.
 
     The draw drops balls over the codes of the first h levels (see
     ``_head_depth`` and ``_drop_balls``) and enumerates the pairs whose
     head links are all 1 when there can be any (``_certain_pairs``).
     """
-    schedule = _unperturbed(level_matrices, lengths)
-    return _sample_exact(n, schedule.level_matrices, schedule.lengths, rng)
+    matrices, lengths, depth = _model_levels(model)
+    return _sample_exact(n, matrices * depth, lengths, rng)
 
 
 def _head_depth(n: int, m: int, k: int) -> int:
@@ -180,7 +167,7 @@ def _head_depth(n: int, m: int, k: int) -> int:
 
 
 def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, rng) -> Graph:
-    """``sample_by_intersection`` over checked level matrices and lengths."""
+    """``naive_sample`` over checked level matrices, one per level, and lengths."""
     if n < 1:
         raise DomainError(f"exact sampling needs n >= 1, got {n}")
     m, k = lengths.size, len(matrices)
@@ -390,8 +377,9 @@ def build_q(matrices: Sequence[np.ndarray], lengths: np.ndarray) -> QTable:
                   lengths=group_lengths, width=group_lengths.size)
 
 
-def fast_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
-    """Approximate sampler with expected O(|E| log |V|) running time.
+def fast_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng=None) -> Graph:
+    """Approximate sampler over a measure or a noise schedule, with expected
+    O(|E| log |V|) running time (see ``_fast_sample``).
 
     When the expected edge count exceeds ``_MAX_EXPECTED_BOXES``,
     ``TooLargeError`` is raised before any draw.  Far past log_m n levels
@@ -400,12 +388,11 @@ def fast_sample(n: int, measure: GeneratingMeasure, rng=None) -> Graph:
     ``[0.5, 0.5]``, ``[[0.9, 0.3], [0.3, 0.9]]`` at k = 30 and n = 3000,
     seeds 0 to 3 all stall.  ``naive_sample`` draws the exact law there.
     """
-    return _fast_sample_levels(
-        n, _unperturbed([measure.probs] * measure.k, measure.lengths), rng)
+    return _fast_sample(n, model, rng)
 
 
-def _fast_sample_levels(n: int, schedule: NoiseSchedule, rng) -> Graph:
-    """The box-dropping generator over a schedule's level matrices.
+def _fast_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng) -> Graph:
+    """The box-dropping generator over a model's level matrices.
 
     Edges are placed in rounds.  A round draws a batch of boxes (ordered
     pairs of category tuples) a group of levels at a time, one alias-table
@@ -416,15 +403,19 @@ def _fast_sample_levels(n: int, schedule: NoiseSchedule, rng) -> Graph:
     ``_MAX_ATTEMPTS_PER_BOX`` draws.  A candidate is kept unless it is a
     self-pair, an edge of an earlier round, or a pair already taken in this
     round; within one pass the earliest box wins.  Edges count in box order
-    and the run stops at exactly the drawn target.
+    and the run stops at exactly the drawn target, drawn from the edge
+    moments of the k level matrices each taken once: a measure's are those
+    of its schedule of k copies, which sums k logs where the measure's
+    closed form takes one log k times.
     """
     if n < 1:
         raise DomainError(f"fast sampling needs n >= 1, got {n}")
     rng = np.random.default_rng(rng)
-    matrices, lengths = schedule.level_matrices, schedule.lengths
+    matrices, lengths, depth = _model_levels(model)
+    matrices = matrices * depth
     m, k = lengths.size, len(matrices)
 
-    moments = _edge_moments(schedule, n)
+    moments = _edge_moments(NoiseSchedule(matrices, np.zeros(k), lengths), n)
     if moments.mean > _MAX_EXPECTED_BOXES:
         raise TooLargeError(
             f"{moments.mean:.6g} expected edges ask for more than "
@@ -525,8 +516,9 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     diagonal, split in proportion to the diagonal entries, so the total of
     all four entries is preserved, then clamps entrywise to [0, 1].  With b == 0
     the schedule repeats the measure's matrix bit for bit and consumes no
-    randomness, so noisy runs at zero amplitude reproduce the plain samplers
-    exactly.
+    randomness, so at zero amplitude every sampler draws over it the graph
+    it draws over the measure.  A schedule is a model: the closed forms and
+    the samplers take it where they take a measure.
     """
     if measure.m != 2:
         raise UnsupportedMError(
@@ -536,7 +528,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     p = measure.probs
     k = measure.k
     if b == 0.0:
-        return _unperturbed([p] * k, measure.lengths)
+        return NoiseSchedule((p,) * k, np.zeros(k), measure.lengths)
     diag_sum = float(p[0, 0] + p[1, 1])
     if diag_sum <= 0.0:
         raise DegenerateDiagonalError(
@@ -556,8 +548,11 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
 def noisy_sample(n: int, measure: GeneratingMeasure, b: float, rng=None) -> Graph:
     """The fast sampler over independently perturbed per-level matrices.
 
-    b == 0 reproduces :func:`fast_sample` bit for bit at a fixed seed.  The exact noisy draw
-    is ``sample_by_intersection`` over the schedule's ``level_matrices``.
+    The schedule is drawn from ``rng`` first, then the graph, so the result
+    is :func:`fast_sample` over ``make_noise_schedule(measure, b, rng)`` on
+    the same generator; b == 0 draws no offsets and reproduces
+    ``fast_sample`` over the measure bit for bit.  The exact noisy draw is
+    :func:`naive_sample` over the schedule.
     """
     rng = np.random.default_rng(rng)
-    return _fast_sample_levels(n, make_noise_schedule(measure, b, rng), rng)
+    return _fast_sample(n, make_noise_schedule(measure, b, rng), rng)

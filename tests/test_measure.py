@@ -654,7 +654,42 @@ def test_a_schedule_entry_is_the_entry_asked_for_alone():
     ((HALF, [[0.5, 0.6], [0.4, 0.5]]), [0.5, 0.5], NonSymmetricError),
     ((HALF, [[0.5]]), [0.5, 0.5], ProbabilityRangeError),
     ((HALF, [[0.5, 1.5], [1.5, 0.5]]), [0.5, 0.5], ProbabilityRangeError),
+    (([[0.5, 0.5], [0.5]],), [0.5, 0.5], ProbabilityRangeError),
+    ((HALF,), [2.0, -1.0], LengthVectorError),
+    ((HALF,), [float("nan"), 1.0], LengthVectorError),
+    ((HALF,), [[0.5], [0.5]], LengthVectorError),
+    ((HALF,), [[0.5], [0.5, 0.2]], LengthVectorError),
 ])
 def test_a_schedule_checks_its_levels(matrices, lengths, error):
     with pytest.raises(error):
         NoiseSchedule(matrices, np.zeros(len(matrices)), lengths)
+
+
+def test_measure_only_closed_forms_refuse_a_schedule_of_many_levels(block_measure):
+    # Both need every level alike.  A schedule of k levels raises a typed
+    # error; one of a single level is that level's measure at k = 1.
+    schedule = make_noise_schedule(block_measure, 0.1, np.random.default_rng(3))
+    with pytest.raises(DomainError, match="edge_survival_factor"):
+        mfng.edge_survival_factor(schedule)
+    with pytest.raises(DomainError, match="expected_degree_counts"):
+        mfng.expected_degree_counts(schedule, 100)
+    one = NoiseSchedule(schedule.level_matrices[:1], np.zeros(1), block_measure.lengths)
+    level = mfng.make_measure(block_measure.lengths, schedule.level_matrices[0], k=1)
+    assert mfng.edge_survival_factor(one) == mfng.edge_survival_factor(level)
+    assert np.array_equal(mfng.expected_degree_counts(one, 50),
+                          mfng.expected_degree_counts(level, 50))
+
+
+@pytest.mark.parametrize("n", [20, 2000, 100_000])
+def test_clique_estimate_reads_a_schedule(block_measure, uniform_measure, n):
+    # A b = 0 schedule gives its measure's estimate, and a noisy one the
+    # largest order whose own expected count is at least one.
+    for meas in (block_measure, uniform_measure):
+        want = mfng.estimate_clique_number(meas, n)
+        assert mfng.estimate_clique_number(make_noise_schedule(meas, 0.0), n) == want
+        noisy = make_noise_schedule(meas, 0.2, np.random.default_rng(n))
+        orders = range(2, min(n, 8) + 1)
+        below = [t for t in orders
+                 if mfng.expected_feature_vector(noisy, n, [f"C{t}"]).value(f"C{t}") < 1.0]
+        want_t = below[0] - 1 if below else orders[-1]
+        assert mfng.estimate_clique_number(noisy, n).t_star == want_t

@@ -4,6 +4,7 @@ build on, plus the error classes; test-only helpers stay in their modules.
 
 import ast
 import json
+import re
 import subprocess
 import sys
 import types
@@ -30,7 +31,6 @@ LIBRARY_SURFACE = {
     "FitConfig", "FitResult", "fit",
     # sampling
     "fast_sample", "naive_sample", "noisy_sample",
-    "sample_by_intersection",
 }
 
 
@@ -42,6 +42,14 @@ def test_public_names_are_the_documented_surface():
     public = sorted(name for name in dir(mfng) if not name.startswith("_")
                     and not isinstance(getattr(mfng, name), types.ModuleType))
     assert public == sorted(LIBRARY_SURFACE | error_classes)
+
+
+def test_the_readme_library_example_runs_as_written():
+    # The README's python block, run verbatim, so that it keeps up with the API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 # Installs perfbench/launch.py's tracer, which rebinds package functions and
@@ -149,6 +157,26 @@ def test_only_features_builds_a_graph_from_pairs():
                     and node.func.attr == "from_pairs" and path.name != "features.py"):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_only_the_model_reader_tells_a_measure_from_a_schedule():
+    # measure._model_levels reads either model as (level matrices, lengths,
+    # depth); closed forms and samplers go through it.  oracle.py is the
+    # independent reference and reads the models itself.
+    package = Path(mfng.__file__).parent
+    models = {"GeneratingMeasure", "NoiseSchedule"}
+    branches = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("isinstance", "issubclass")
+                        and models & {getattr(name, "id", getattr(name, "attr", None))
+                                      for name in ast.walk(node.args[1])}):
+                    branches.append((path.name, getattr(top, "name", None)))
+    assert branches == [("measure.py", "_model_levels")]
 
 
 def test_only_the_reader_and_the_fit_compute_level_bases():

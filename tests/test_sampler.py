@@ -142,24 +142,34 @@ def test_naive_complete_and_empty_extremes():
         assert g.edge_count == 0
 
 
+def k_copies(meas):
+    """The schedule of k copies of a measure's matrix, every offset 0."""
+    return NoiseSchedule((meas.probs,) * meas.k, np.zeros(meas.k), meas.lengths)
+
+
 def test_naive_is_intersection_over_k_copies(block_measure_k4):
+    # The graph is the intersection of k level graphs: a measure and the
+    # schedule of k copies of its matrix draw the same one.
     meas = block_measure_k4
     for seed in (0, 1, 2):
         a = mfng.naive_sample(N_CROWDED, meas, np.random.default_rng(seed))
-        b = mfng.sample_by_intersection(
-            N_CROWDED, [meas.probs] * meas.k, meas.lengths, np.random.default_rng(seed))
-        assert a == b
+        assert a == mfng.naive_sample(N_CROWDED, k_copies(meas), np.random.default_rng(seed))
 
 
 def intersection_sample(n, meas, rng):
-    return mfng.sample_by_intersection(n, [meas.probs] * meas.k, meas.lengths, rng)
+    return mfng.naive_sample(n, k_copies(meas), rng)
+
+
+def fast_over_k_copies(n, meas, rng):
+    return mfng.fast_sample(n, k_copies(meas), rng)
 
 
 def noisy_sample(n, meas, rng):
     return mfng.noisy_sample(n, meas, 0.05, rng)
 
 
-SAMPLERS = [mfng.naive_sample, intersection_sample, mfng.fast_sample, noisy_sample]
+SAMPLERS = [mfng.naive_sample, intersection_sample, mfng.fast_sample, fast_over_k_copies,
+            noisy_sample]
 
 
 @pytest.mark.parametrize("sample", SAMPLERS, ids=lambda f: f.__name__)
@@ -198,10 +208,9 @@ def test_naive_edge_rate_matches_closed_form(block_measure_k4):
 
 
 def test_intersection_deterministic(block_measure_k4):
-    mats = [block_measure_k4.probs] * 4
-    lengths = block_measure_k4.lengths
-    g1 = mfng.sample_by_intersection(70, mats, lengths, np.random.default_rng(3))
-    g2 = mfng.sample_by_intersection(70, mats, lengths, np.random.default_rng(3))
+    schedule = k_copies(block_measure_k4)
+    g1 = mfng.naive_sample(70, schedule, np.random.default_rng(3))
+    g2 = mfng.naive_sample(70, schedule, np.random.default_rng(3))
     assert g1 == g2
 
 
@@ -210,32 +219,10 @@ def test_intersection_single_level_edge_rate():
     n, runs = 60, 300
     total = 0
     for i in range(runs):
-        g = mfng.sample_by_intersection(
-            n, [meas.probs], meas.lengths, spawned(77, i))
-        total += g.edge_count
+        total += mfng.naive_sample(n, k_copies(meas), spawned(77, i)).edge_count
     em = mfng.edge_moments(meas, n)
     se = em.std / math.sqrt(runs)
     assert abs(total / runs - em.mean) < 4.0 * se
-
-
-def test_intersection_rejects_mismatched_matrices(block_measure_k4):
-    with pytest.raises(mfng.MeasureValidationError):
-        mfng.sample_by_intersection(
-            10, [np.array([[0.5]])], block_measure_k4.lengths, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("lengths", [
-    [0.5, 0.2], [2.0, -1.0], [float("nan"), 1.0], [[0.5], [0.5]], [[0.5], [0.5, 0.2]]])
-def test_intersection_rejects_invalid_lengths(lengths):
-    with pytest.raises(mfng.LengthVectorError):
-        mfng.sample_by_intersection(
-            10, [np.full((2, 2), 0.5)], lengths, np.random.default_rng(0))
-
-
-def test_intersection_rejects_a_ragged_matrix():
-    with pytest.raises(mfng.ProbabilityRangeError):
-        mfng.sample_by_intersection(
-            10, [[[0.5, 0.5], [0.5]]], [0.5, 0.5], np.random.default_rng(0))
 
 
 class CountingGenerator(np.random.Generator):
@@ -274,8 +261,7 @@ def test_exact_sampler_keeps_every_certain_pair():
         levels = _draw_levels(n, meas.k, meas.lengths, np.random.default_rng(seed))
         zero = np.flatnonzero(np.all(levels == 0, axis=1))
         a = mfng.naive_sample(n, meas, np.random.default_rng(seed))
-        b = mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
-                                        np.random.default_rng(seed))
+        b = mfng.naive_sample(n, schedule, np.random.default_rng(seed))
         assert a == b and a.n == n
         keys = np.array([u * n + v for u, v in itertools.combinations(zero, 2)], dtype=np.int64)
         assert _search_sorted(a._keys, keys)[1].all()
@@ -338,12 +324,9 @@ def test_exact_draws_follow_the_whole_graph_law(case, n):
     from scipy.stats import chi2
 
     model = _LAW_CASES[case]
-    if isinstance(model, NoiseSchedule):
-        def sample(n, rng):
-            return mfng.sample_by_intersection(n, model.level_matrices, model.lengths, rng)
-    else:
-        def sample(n, rng):
-            return mfng.naive_sample(n, model, rng)
+
+    def sample(n, rng):
+        return mfng.naive_sample(n, model, rng)
 
     law = labelled_graph_law(model, n)
     assert law.min() > 0 and math.isclose(law.sum(), 1.0, rel_tol=1e-12)
@@ -631,8 +614,8 @@ _SAMPLERS = {
     "naive": mfng.naive_sample,
     "fast": mfng.fast_sample,
     "noisy": lambda n, meas, rng: mfng.noisy_sample(n, meas, 0.05, rng),
-    "intersection": lambda n, meas, rng: mfng.sample_by_intersection(
-        n, make_noise_schedule(meas, 0.05, rng).level_matrices, meas.lengths, rng),
+    "intersection": lambda n, meas, rng: mfng.naive_sample(
+        n, make_noise_schedule(meas, 0.05, rng), rng),
 }
 
 
@@ -691,7 +674,7 @@ def test_zero_noise_schedule_has_the_measure_moments(spec):
 
 
 def test_exact_noisy_draws_follow_their_schedule():
-    # sample_by_intersection over a noise schedule around a p = 1 core: the
+    # naive_sample over a noise schedule around a p = 1 core: the
     # mean edges, S2 and C3 of 100 draws at n = 3000 lie within 4 se of the
     # schedule's closed forms, which differ from the measure's (C3 by about
     # 15% here).
@@ -700,8 +683,7 @@ def test_exact_noisy_draws_follow_their_schedule():
     n, draws, keys = 3000, 100, ("edges", "S2", "C3")
     counts = np.array([
         [mfng.feature_vector(g, keys).value(key) for key in keys]
-        for g in (mfng.sample_by_intersection(n, schedule.level_matrices, schedule.lengths,
-                                              spawned(71, i)) for i in range(draws))])
+        for g in (mfng.naive_sample(n, schedule, spawned(71, i)) for i in range(draws))])
     want = mfng.expected_feature_vector(schedule, n, keys)
     z = (counts.mean(axis=0) - [want.value(key) for key in keys]) / (
         counts.std(axis=0, ddof=1) / math.sqrt(draws))
@@ -770,17 +752,27 @@ def test_noise_schedule_rejects_bad_inputs(three_cat_measure, block_measure):
 # ---------------------------------------------------------------------------
 
 def test_noisy_zero_amplitude_reproduces_fast(block_measure):
+    # A measure, the schedule of k copies of its matrix and the noise
+    # schedule at b = 0 give the fast sampler one graph.
     n = 1200
     a = mfng.noisy_sample(n, block_measure, 0.0, rng=np.random.default_rng(19))
     b = mfng.fast_sample(n, block_measure, rng=np.random.default_rng(19))
-    assert a == b
+    assert a == b == mfng.fast_sample(n, k_copies(block_measure), np.random.default_rng(19))
+
+
+def test_noisy_is_fast_over_its_own_schedule(block_measure):
+    # The schedule is drawn first from the generator, then the graph.
+    n = 1200
+    for seed in (19, 20):
+        rng = np.random.default_rng(seed)
+        want = mfng.fast_sample(n, make_noise_schedule(block_measure, 0.05, rng), rng)
+        assert mfng.noisy_sample(n, block_measure, 0.05, np.random.default_rng(seed)) == want
 
 
 def test_noisy_zero_amplitude_reproduces_intersection(block_measure_k4):
     n = 100
     schedule = make_noise_schedule(block_measure_k4, 0.0, np.random.default_rng(19))
-    a = mfng.sample_by_intersection(
-        n, schedule.level_matrices, block_measure_k4.lengths, np.random.default_rng(19))
+    a = mfng.naive_sample(n, schedule, np.random.default_rng(19))
     b = mfng.naive_sample(n, block_measure_k4, np.random.default_rng(19))
     assert a == b
 
@@ -797,6 +789,5 @@ def test_noisy_deterministic_and_noise_dependent(block_measure):
 def test_noisy_exact_method_runs(block_measure_k4):
     rng = np.random.default_rng(4)
     schedule = make_noise_schedule(block_measure_k4, 0.1, rng)
-    g = mfng.sample_by_intersection(
-        80, schedule.level_matrices, block_measure_k4.lengths, rng)
+    g = mfng.naive_sample(80, schedule, rng)
     assert g.n == 80
