@@ -8,16 +8,18 @@ Counts are exact Python integers throughout: star counts on heavy-tailed
 graphs overflow 64-bit arithmetic long before the graphs get interesting.
 
 Triangles and 4-cliques come from one pass of the array form of the
-forward algorithm (Latapy 2008; Chiba & Nishizeki 1985).  Every edge is
-oriented from the endpoint of lower (degree, id) rank to the higher one, so
-each node keeps at most O(sqrt(E)) forward neighbors.  The forward edges are
-the 2-cliques, and each clique c1 < ... < ct (in rank) is extended from its
-last node's forward list: by every x in F(ct) adjacent to all of
-c1 .. c(t-1).  So each triangle u < v < w arises once, from forward edge
-(u, v) and w in F(v), and each 4-clique once, from its triangle (u, v, w)
-and x in F(w).  Candidates are expanded and tested as whole arrays, a
-bounded number at a time, with edge membership answered by binary search
-over the sorted forward-edge keys ``u * n + w``.
+compact-forward algorithm (Latapy 2008; Chiba & Nishizeki 1985).  Every
+edge is oriented from the endpoint of lower (degree, id) rank to the higher
+one, so each node keeps at most O(sqrt(E)) forward neighbors, sorted.  The
+forward edges are the 2-cliques, and each clique c1 < ... < ct (in rank) is
+extended from its first node's forward list, past its last node: by every x
+in F(c1) after ct that is adjacent to all of c2 .. ct.  So each triangle
+u < v < w arises once, from forward edge (u, v) and w in F(u) after v, and
+each 4-clique once, from its triangle (u, v, w) and x in F(u) after w.
+The forward edges are walked in target order, so that the membership
+queries (v, w) of one chunk share few v.  Candidates are expanded and
+tested as whole arrays, a bounded number at a time, with edge membership
+answered by binary search over the sorted forward-edge keys ``u * n + w``.
 """
 
 from __future__ import annotations
@@ -215,8 +217,9 @@ def count_stars(graph: Graph, d: int) -> int:
                for deg, cnt in enumerate(hist.tolist()) if cnt and deg >= d)
 
 
-# Most wedges expanded and tested at once by the triangle and 4-clique
-# counters; bounds their working memory whatever the triangle count.
+# Most candidates expanded and tested at once, and most forward edges read
+# per block, by the clique counters; bounds their working memory whatever
+# the triangle count.
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -255,27 +258,30 @@ class _Forward:
         lo, hi = np.searchsorted(self.keys, [query.min(), query.max()])
         return _search_sorted(self.keys[lo:hi + 1], query)[1]
 
-    def expand(self, heads: np.ndarray):
-        """Yield (i, x) array pairs covering every x in F(heads[i]).
+    def expand(self, starts: np.ndarray, stops: np.ndarray):
+        """Yield (i, pos) array pairs covering every position pos in
+        [starts[i], stops[i]) of ``targets``.
 
-        Each chunk holds at most ``_WEDGE_CHUNK`` pairs, or the pairs of a
-        single head whose forward list is longer than that.
+        A clique c1 < ... < ct whose ct sits at position p of F(c1) passes
+        the rest of that list, ``targets[p + 1 : indptr[c1 + 1]]``.  Each
+        chunk holds at most ``_WEDGE_CHUNK`` pairs, or the pairs of a single
+        range longer than that.
         """
-        counts = self.indptr[heads + 1] - self.indptr[heads]
+        counts = stops - starts
         ends = np.cumsum(counts)
         start = 0
-        while start < heads.size:
+        while start < starts.size:
             base = ends[start - 1] if start else 0
             stop = max(int(np.searchsorted(ends, base + _WEDGE_CHUNK, side="right")),
                        start + 1)
             size = int(ends[stop - 1] - base)
             if size:
                 group = counts[start:stop]
-                # Pair j of the chunk reads F(heads[i]) at its offset j minus
-                # the offset where that head's run begins.
-                first = self.indptr[heads[start:stop]] - (ends[start:stop] - group - base)
-                i = np.repeat(np.arange(start, stop), group)
-                yield i, self.targets[np.repeat(first, group) + np.arange(size)]
+                # Pair j of the chunk reads range i at its offset j minus the
+                # offset where that range's run begins.
+                first = starts[start:stop] - (ends[start:stop] - group - base)
+                yield (np.repeat(np.arange(start, stop), group),
+                       np.repeat(first, group) + np.arange(size))
             start = stop
 
 
@@ -283,9 +289,12 @@ def _clique_counts(graph: Graph, top: int) -> list[int]:
     """Exact t-clique counts, indexed by t, for t = 2..top, from one pass.
 
     The forward edges are the 2-cliques.  Each t-clique c1 < ... < ct (in
-    rank) is extended by every x in F(ct) adjacent to all of c1 .. c(t-1),
-    which finds every (t+1)-clique once, from its first t nodes.  No
-    forward lists are built when top is 2.
+    rank) is extended by every x in F(c1) after ct that is adjacent to all
+    of c2 .. ct, which finds every (t+1)-clique once, from its first t
+    nodes.  The forward edges are walked in target order, a block of
+    ``_WEDGE_CHUNK`` at a time, so that the queries (ct, x) of a chunk
+    share few ct and search a short slice of the keys.  No forward lists
+    are built when top is 2.
     """
     if top > 4:
         raise DomainError(f"clique counting supports C2..C4, got C{top}")
@@ -294,27 +303,35 @@ def _clique_counts(graph: Graph, top: int) -> list[int]:
         return counts
     fwd = _Forward.of(graph)
 
-    def extend(clique):
-        # A chunk of t-cliques as t columns of ranks, c1 first.
+    def extend(clique, last):
+        # A chunk of t-cliques as t columns of ranks, c1 first; last[i] is
+        # the position of clique i's ct in F(c1).
         t = len(clique)
-        for i, x in fwd.expand(clique[-1]):
-            hit = np.logical_and.reduce([fwd.has_edge(c[i], x) for c in clique[:-1]])
+        for i, pos in fwd.expand(last + 1, fwd.indptr[clique[0] + 1]):
+            x = fwd.targets[pos]
+            hit = np.logical_and.reduce([fwd.has_edge(c[i], x) for c in clique[1:]])
             counts[t + 1] += int(np.count_nonzero(hit))
             if t + 1 < top:
-                extend(tuple(c[i[hit]] for c in clique) + (x[hit],))
+                extend(tuple(c[i[hit]] for c in clique) + (x[hit],), pos[hit])
 
-    extend((fwd.sources, fwd.targets))
+    # Edge j sits at position j of F(sources[j]).  The keys v * n + u are
+    # below n * n, which the graph's own keys already fit in int64.
+    order = np.argsort(fwd.targets * np.int64(graph.n) + fwd.sources)
+    for block in range(0, order.size, _WEDGE_CHUNK):
+        j = order[block:block + _WEDGE_CHUNK]
+        extend((fwd.sources[j], fwd.targets[j]), j)
     return counts
 
 
 def count_triangles(graph: Graph) -> int:
-    """Exact triangle count via the forward wedge enumeration."""
+    """Exact triangle count: each forward edge (u, v) extended by every w
+    in F(u) after v that is adjacent to v."""
     return _clique_counts(graph, 3)[3]
 
 
 def count_4cliques(graph: Graph) -> int:
     """Exact 4-clique count: each triangle (u, v, w) extended by every x
-    in F(w) adjacent to both u and v."""
+    in F(u) after w that is adjacent to both v and w."""
     return _clique_counts(graph, 4)[4]
 
 

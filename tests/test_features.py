@@ -1,6 +1,7 @@
 """Graph container, subgraph counters, and degree statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import mfng
 from mfng import DomainError, GraphTooLargeError, ZeroWedgesError
 import mfng.features
 from mfng.features import Graph
-from mfng.oracle import brute_force_counts
+from mfng.oracle import BRUTE_FORCE_NODE_LIMIT, brute_force_counts
 
 
 def complete_graph(n):
@@ -266,8 +267,25 @@ def dense_reference(adj):
     }
 
 
-def chunk_test_graphs():
-    """Random graphs with a planted K8 and a hub, ids shuffled."""
+def hub_adjacency():
+    """A hub joined to every node of a triangle and of an edge, and to one
+    node of a K8: 14 nodes, C3 = 56 + 1 + 3 + 1 = 61, C4 = 70 + 1 = 71.
+
+    The hub ranks above the cliques it joins and below the K8 node, so
+    its forward list is short while many forward edges end at it."""
+    adj = np.zeros((14, 14), dtype=bool)
+    for clique in ([1, 2, 3], [4, 5], list(range(6, 14))):
+        adj[np.ix_(clique, clique)] = True
+    adj[0, 1:7] = adj[1:7, 0] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def chunk_test_graphs(chunk):
+    """(adjacency, copies) pairs, each graph counted as that many disjoint
+    copies: random graphs with a planted K8 and a hub, a K8 alone, the hub
+    graph, and a small random graph copied until its edges fill at least
+    three blocks of ``chunk`` forward edges."""
     rng = np.random.default_rng(2024)
     out = []
     for n, p in ((150, 0.12), (220, 0.06), (300, 0.03)):
@@ -278,28 +296,90 @@ def chunk_test_graphs():
         adj[hub, rng.choice(n, size=n // 2, replace=False)] = True
         adj = adj | adj.T
         np.fill_diagonal(adj, False)
-        out.append(adj)
+        out.append((adj, 1))
     k8_alone = np.zeros((20, 20), dtype=bool)
     k8_alone[4:12, 4:12] = True
     np.fill_diagonal(k8_alone, False)
-    out.append(k8_alone)
+    out.append((k8_alone, 1))
+    out.append((hub_adjacency(), 1))
+    small = np.triu(np.random.default_rng(7).random((13, 13)) < 0.6, 1)
+    out.append((small | small.T, 2 * chunk // int(small.sum()) + 1))
     return out
+
+
+def disjoint_copies(adj, copies, rng):
+    """The edge list of ``copies`` disjoint copies of adj, under ids drawn
+    at random from ten times as many."""
+    size = adj.shape[0] * copies
+    ids = rng.permutation(10 * size)[:size]
+    u, v = np.nonzero(np.triu(adj, 1))
+    shift = np.repeat(np.arange(copies) * adj.shape[0], u.size)
+    return np.column_stack([ids[np.tile(u, copies) + shift], ids[np.tile(v, copies) + shift]])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, mfng.features._WEDGE_CHUNK])
 def test_counts_match_dense_reference_across_wedge_chunks(monkeypatch, chunk):
     monkeypatch.setattr(mfng.features, "_WEDGE_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    for adj in chunk_test_graphs():
-        want = dense_reference(adj)
-        if adj.shape[0] == 20:
-            assert (want["C3"], want["C4"]) == (56, 70)
-        ids = rng.permutation(10 * adj.shape[0])[:adj.shape[0]]
-        u, v = np.nonzero(np.triu(adj, 1))
-        g = mfng.from_edge_list(np.column_stack([ids[u], ids[v]]))
+    pinned = {20: (56, 70), 14: (61, 71)}
+    for adj, copies in chunk_test_graphs(chunk):
+        one = dense_reference(adj)
+        if adj.shape[0] in pinned:  # the K8 alone and the hub graph
+            assert (one["C3"], one["C4"]) == pinned[adj.shape[0]]
+        if adj.shape[0] <= BRUTE_FORCE_NODE_LIMIT:
+            alone = Graph.from_pairs(adj.shape[0], np.argwhere(np.triu(adj, 1)))
+            assert brute_force_counts(alone, ["C3", "C4"]).as_dict() == {
+                "C3": one["C3"], "C4": one["C4"]}
+        want = {key: copies * value for key, value in one.items()}
+        g = mfng.from_edge_list(disjoint_copies(adj, copies, rng))
         assert mfng.count_triangles(g) == want["C3"]
         assert mfng.count_4cliques(g) == want["C4"]
         assert mfng.feature_vector(g).as_dict() == want
+
+
+def test_triangle_phase_tests_the_rest_of_the_first_nodes_forward_list(monkeypatch):
+    # Forward edge j = (u, v) sits at position j of F(u), and its triangle
+    # candidates are the rest of F(u): indptr[u + 1] - j - 1 of them.
+    # Extending from the last node instead would test all of F(v), more.
+    queried = []
+    has_edge = mfng.features._Forward.has_edge
+
+    def spy(self, u, v):
+        queried.append(u.size)
+        return has_edge(self, u, v)
+
+    monkeypatch.setattr(mfng.features._Forward, "has_edge", spy)
+    for adj in (hub_adjacency(), chunk_test_graphs(1)[0][0]):
+        g = mfng.from_edge_list(np.argwhere(np.triu(adj, 1)))
+        fwd = mfng.features._Forward.of(g)
+        rest = int(np.sum(fwd.indptr[fwd.sources + 1] - np.arange(g.edge_count) - 1))
+        last = int(np.sum(fwd.indptr[fwd.targets + 1] - fwd.indptr[fwd.targets]))
+        queried.clear()
+        assert mfng.count_triangles(g) == dense_reference(adj)["C3"]
+        assert sum(queried) == rest
+        assert rest < last
+
+
+def test_clique_pass_needs_no_memory_beyond_the_forward_lists(monkeypatch):
+    # Besides the forward lists, the pass keeps one whole-edge array, the
+    # target order, and reads the clique columns a block at a time; that
+    # fits under the peak of building the lists.  The allowance covers the
+    # pass's Python objects, and is far below a byte per edge.
+    monkeypatch.setattr(mfng.features, "_WEDGE_CHUNK", 1 << 10)
+    rng = np.random.default_rng(5)
+    g = Graph.from_pairs(20_000, rng.integers(0, 20_000, size=(120_000, 2)))
+    assert g.edge_count >= 100_000
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            count()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward = peak(lambda: mfng.features._Forward.of(g))
+    assert peak(lambda: mfng.features._clique_counts(g, 4)) <= forward + 4096
 
 
 def test_unsupported_clique_order_is_rejected_before_counting(monkeypatch):
