@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -56,6 +57,10 @@ EXIT_RUNTIME = 3
 
 _INT64 = np.iinfo(np.int64)
 
+# A node id as np.loadtxt reads one: ASCII digits with an optional sign.
+# int() would also take '1_0' and non-ASCII digits.
+_NODE_ID = re.compile(r"[+-]?[0-9]+")
+
 # np.loadtxt decompresses a path with one of these endings, so read_edge_list
 # leaves such a file, which it reads as plain text, to the line parser.
 _DECOMPRESSED_BY_NUMPY = (".gz", ".bz2", ".xz", ".lzma")
@@ -65,7 +70,8 @@ def read_edge_list(path: str) -> np.ndarray:
     """Parse a whitespace-separated edge list into an (E, 2) int64 array.
 
     Lines starting with '#' and blank lines are skipped; every other line
-    must hold exactly two integers that fit in int64.  Pairs come back in
+    must hold exactly two integers that fit in int64, each written as ASCII
+    decimal digits with an optional sign.  Pairs come back in
     file order with no interpretation (no deduping, no symmetrizing).
 
     The file is read as text once, which checks that it is UTF-8 and where
@@ -108,12 +114,11 @@ def _read_edge_lines(path: str) -> np.ndarray:
             raise ParseError(
                 f"{path}:{lineno}: expected two integers, got {len(parts)} fields",
                 line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(_NODE_ID.fullmatch(part) for part in parts):
             raise ParseError(
                 f"{path}:{lineno}: expected two integers, got {stripped!r}",
-                line=lineno) from None
+                line=lineno)
+        u, v = int(parts[0]), int(parts[1])
         if not (_INT64.min <= u <= _INT64.max and _INT64.min <= v <= _INT64.max):
             raise ParseError(
                 f"{path}:{lineno}: node id outside the 64-bit integer range",

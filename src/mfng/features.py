@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ZeroWedgesError
-from .measure import DEFAULT_FEATURES, FeatureVector, parse_feature
+from .measure import DEFAULT_FEATURES, FeatureVector, _check_integer, parse_feature
 
 
 class Graph:
@@ -51,13 +51,11 @@ class Graph:
     __slots__ = ("_n", "_keys", "_degrees")
 
     def __init__(self, n: int, keys):
-        n, arr = int(n), np.asarray(keys)
+        n, arr = _check_integer("node count n", n, 0), np.asarray(keys)
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise DomainError(
                 f"edge keys must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}")
         arr = arr.astype(np.int64, copy=False)
-        if n < 0:
-            raise DomainError(f"a graph needs n >= 0 nodes, got {n}")
         if arr.size and (arr[0] < 0 or arr[-1] >= n * n):
             raise DomainError(f"edge keys must lie in [0, n * n) for n = {n}")
         if np.any(arr[1:] <= arr[:-1]):
@@ -83,10 +81,10 @@ class Graph:
 
         Self-loops are dropped and duplicates (in either orientation) are
         collapsed.  Node ids must already lie in [0, n); isolated nodes are
-        preserved.  Ids that are not integers, or rows that are not pairs,
-        raise ``DomainError``.
+        preserved.  An n that is not an integer >= 0, ids that are not
+        integers, or rows that are not pairs, raise ``DomainError``.
         """
-        arr = _id_pairs(pairs)
+        n, arr = _check_integer("node count n", n, 0), _id_pairs(pairs)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise DomainError("edge endpoints must lie in [0, n)")
         lo = np.minimum(arr[:, 0], arr[:, 1])
@@ -210,8 +208,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
 
 def count_stars(graph: Graph, d: int) -> int:
     """Number of d-stars: sum over nodes of C(degree, d), exactly."""
-    if d < 1:
-        raise DomainError(f"star order d must be >= 1, got {d}")
+    d = _check_integer("star order d", d, 1)
     hist = np.bincount(graph.degrees(), minlength=1)
     return sum(int(cnt) * math.comb(deg, d)
                for deg, cnt in enumerate(hist.tolist()) if cnt and deg >= d)

@@ -201,8 +201,8 @@ class FitConfig:
 
     ``m`` is an integer >= 1; ``k=None`` sweeps depths around ceil(log_m n),
     and an integer ``k`` in [1, max_depth(m)] pins it; ``restarts`` is an
-    integer >= 1 and ``seed`` an integer >= 0.  A bad field raises
-    ``DomainError``.
+    integer >= 1 and ``seed`` an integer >= 0.  A numpy integer is kept as
+    the ``int`` it holds; a bad field raises ``DomainError``.
     """
 
     m: int
@@ -211,21 +211,20 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("m", self.m, 1)
-        _check_integer("restarts", self.restarts, 1)
-        _check_integer("seed", self.seed, 0)
+        for name, low in (("m", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         if self.k is not None:
-            _check_integer("depth k", self.k, 1)
+            object.__setattr__(self, "k", _check_integer("depth k", self.k, 1))
             if self.k > max_depth(self.m):
                 raise DomainError(
                     f"depth k={self.k} outside [1, {max_depth(self.m)}] for m={self.m}")
 
     def depth_candidates(self, n: int) -> tuple[int, ...]:
-        """Depths to try: the given k, or a +/-2 window around ceil(log_m n)."""
+        """Depths to try: the given k, or a +/-2 window around ceil(log_m n).
+        n must be an integer >= 2 either way."""
+        n = _check_integer("node count n", n, 2)
         if self.k is not None:
             return (self.k,)
-        if n < 2:
-            raise DomainError(f"need n >= 2 to pick a depth, got {n}")
         cap = max_depth(self.m)
         center = math.ceil(math.log(n) / math.log(self.m)) if self.m > 1 else 1
         ks = [k for k in range(center - 2, center + 3) if 1 <= k <= cap]

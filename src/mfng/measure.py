@@ -43,7 +43,6 @@ from .errors import (
     DepthOverflowError,
     DomainError,
     LengthVectorError,
-    MeasureValidationError,
     NonSymmetricError,
     ProbabilityRangeError,
 )
@@ -107,9 +106,11 @@ class NoiseSchedule:
     ``offsets[r]`` is the draw that perturbed level r's matrix (see
     ``sampler.make_noise_schedule``; 0 for a level left as the measure's).
     Construction checks ``lengths`` and every matrix as
-    :class:`GeneratingMeasure` does, keeps float copies, and raises
-    ``DomainError`` when there is no level.  The closed forms read a
-    schedule as its level matrices, each taken once.
+    :class:`GeneratingMeasure` does, and ``offsets`` to be a flat vector of
+    one finite number per level; it keeps float copies of all three, the
+    offsets read-only.  Bad offsets, or no level, raise ``DomainError``.
+    The closed forms read a schedule as its level matrices, each taken
+    once.
     """
 
     level_matrices: tuple[np.ndarray, ...]
@@ -121,7 +122,13 @@ class NoiseSchedule:
         matrices = tuple(_check_probs(p, lengths.size) for p in self.level_matrices)
         if not matrices:
             raise DomainError("need at least one level matrix")
+        offsets = _as_floats(self.offsets, DomainError, "offsets")
+        if offsets.shape != (len(matrices),) or not np.all(np.isfinite(offsets)):
+            raise DomainError(f"offsets must be {len(matrices)} finite numbers, one per "
+                              f"level matrix, got {self.offsets!r}")
+        offsets.flags.writeable = False
         object.__setattr__(self, "level_matrices", matrices)
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -216,8 +223,7 @@ def make_measure(lengths, probs, k: int) -> GeneratingMeasure:
 
 def max_depth(m: int) -> int:
     """Largest depth whose category tuples fit the 62-bit encoding."""
-    if m < 1:
-        raise DomainError(f"category count must be positive, got {m}")
+    m = _check_integer("category count m", m, 1)
     if m == 1:
         return ENCODING_BITS
     k = int(ENCODING_BITS / math.log2(m))
@@ -228,7 +234,7 @@ def max_depth(m: int) -> int:
     return k
 
 
-def _as_floats(values, error: type[MeasureValidationError], what: str) -> np.ndarray:
+def _as_floats(values, error: type[ValueError], what: str) -> np.ndarray:
     """values as a new float array; ragged, non-numeric or out-of-float-range
     input raises error."""
     try:
@@ -269,20 +275,22 @@ def _check_probs(probs, m: int) -> np.ndarray:
     return probs
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """Raise DomainError unless value is an integer (not a bool) >= low."""
+def _check_integer(name: str, value, low: int) -> int:
+    """value as an int, checked to be a Python or numpy integer >= low; a
+    bool, a float, a string or anything else raises DomainError."""
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
             or value < low):
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_depth(k, m: int) -> int:
     """k as an int, checked to be an integer in [1, max_depth(m)]."""
-    _check_integer("recursion depth k", k, 1)
+    k = _check_integer("recursion depth k", k, 1)
     if k > max_depth(m):
         raise DepthOverflowError(
             f"m**k = {m}**{k} exceeds the {ENCODING_BITS}-bit category encoding")
-    return int(k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +404,22 @@ def _log_comb(n: int, r: int) -> float:
 
 def _log_placements(kind: str, order: int, n: int) -> float:
     """log of the number of ways to place one feature of this kind and order
-    on n nodes; an order out of range for n, or a clique order beyond
-    ``MAX_CLIQUE_ORDER``, raises a typed error."""
+    on n nodes; an n or an order that is not an integer, or is out of range,
+    or a clique order beyond ``MAX_CLIQUE_ORDER``, raises a typed error."""
+    n = _check_integer("node count n", n, 2)
     if kind == "edges":
-        if n < 2:
-            raise DomainError(f"expected_edges needs n >= 2, got {n}")
         return _log_comb(n, 2)
     if kind == "star":
-        if not 1 <= order <= n - 1:
+        order = _check_integer("star order d", order, 1)
+        if order > n - 1:
             raise DomainError(
                 f"star order d must satisfy 1 <= d <= n-1, got d={order}, n={n}")
         return math.log(n) + _log_comb(n - 1, order)
+    order = _check_integer("clique order t", order, 2)
     if order > MAX_CLIQUE_ORDER:
         raise CliqueSizeError(
             f"clique order {order} exceeds the enumeration cap of {MAX_CLIQUE_ORDER}")
-    if not 2 <= order <= n:
+    if order > n:
         raise DomainError(
             f"clique order t must satisfy 2 <= t <= n, got t={order}, n={n}")
     return _log_comb(n, order)
@@ -499,9 +508,7 @@ def _edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMomen
 def edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMoments:
     """Edge-count mean and variance of a measure or a noise schedule (see
     :func:`_edge_moments`)."""
-    if n < 2:
-        raise DomainError(f"edge_moments needs n >= 2, got {n}")
-    return _edge_moments(model, n)
+    return _edge_moments(model, _check_integer("node count n", n, 2))
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
@@ -522,8 +529,7 @@ def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
     ``DomainError``: its levels differ, so compositions do not group them.
     """
     probs, lengths, k = _one_matrix(measure, "expected_degree_counts")
-    if n < 1:
-        raise DomainError(f"expected_degree_counts needs n >= 1, got {n}")
+    n = _check_integer("node count n", n, 1)
     m = lengths.size
     comps = np.array([np.bincount(combo, minlength=m)
                       for combo in itertools.combinations_with_replacement(range(m), k)])
@@ -559,8 +565,7 @@ def estimate_clique_number(measure: GeneratingMeasure | NoiseSchedule,
     stops at the first order whose expectation drops below one, or at the
     enumeration cap min(n, MAX_CLIQUE_ORDER).
     """
-    if n < 1:
-        raise DomainError(f"estimate_clique_number needs n >= 1, got {n}")
+    n = _check_integer("node count n", n, 1)
     cap = min(n, MAX_CLIQUE_ORDER)
     t_star = 1
     for t in range(2, cap + 1):

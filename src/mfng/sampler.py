@@ -57,6 +57,7 @@ amplitude 0 consumes no randomness, so ``noisy_sample`` at b = 0 reproduces
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,7 +66,8 @@ import numpy as np
 from .errors import (DegenerateDiagonalError, DomainError, StalledError, TooLargeError,
                      UnsupportedMError)
 from .features import Graph, _search_sorted
-from .measure import GeneratingMeasure, NoiseSchedule, _edge_moments, _model_levels
+from .measure import (GeneratingMeasure, NoiseSchedule, _check_integer, _edge_moments,
+                      _model_levels)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -89,6 +91,17 @@ _MAX_ROUND_BOXES = 1 << 16
 # The fast sampler refuses a run whose expected edge count exceeds this:
 # it draws about one box per edge, and its work grows with that count.
 _MAX_EXPECTED_BOXES = 1 << 32
+
+
+def _generator(rng) -> np.random.Generator:
+    """A sampler's ``rng`` argument as a Generator: a Generator as it is,
+    anything else seeds a new one, and a seed numpy refuses (a negative or
+    non-integer one, say) raises ``DomainError``."""
+    try:
+        return np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"rng must be a Generator, a seed or None, got {rng!r} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +181,9 @@ def _head_depth(n: int, m: int, k: int) -> int:
 
 def _sample_exact(n: int, matrices: Sequence[np.ndarray], lengths: np.ndarray, rng) -> Graph:
     """``naive_sample`` over checked level matrices, one per level, and lengths."""
-    if n < 1:
-        raise DomainError(f"exact sampling needs n >= 1, got {n}")
+    n = _check_integer("node count n", n, 1)
     m, k = lengths.size, len(matrices)
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     levels = _draw_levels(n, k, lengths, rng)
     h = _head_depth(n, m, k)
     codes = encode_categories(levels[:, :h], m)
@@ -408,9 +420,8 @@ def _fast_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng) -> Graph
     of its schedule of k copies, which sums k logs where the measure's
     closed form takes one log k times.
     """
-    if n < 1:
-        raise DomainError(f"fast sampling needs n >= 1, got {n}")
-    rng = np.random.default_rng(rng)
+    n = _check_integer("node count n", n, 1)
+    rng = _generator(rng)
     matrices, lengths, depth = _model_levels(model)
     matrices = matrices * depth
     m, k = lengths.size, len(matrices)
@@ -518,13 +529,14 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     the schedule repeats the measure's matrix bit for bit and consumes no
     randomness, so at zero amplitude every sampler draws over it the graph
     it draws over the measure.  A schedule is a model: the closed forms and
-    the samplers take it where they take a measure.
+    the samplers take it where they take a measure.  b must be a real
+    number (not a bool) in [0, 1]; anything else raises ``DomainError``.
     """
     if measure.m != 2:
         raise UnsupportedMError(
             f"noise schedules are defined for m = 2 measures, got m = {measure.m}")
-    if not (0.0 <= b <= 1.0):
-        raise DomainError(f"noise amplitude must lie in [0, 1], got {b!r}")
+    if not (isinstance(b, numbers.Real) and not isinstance(b, bool) and 0.0 <= b <= 1.0):
+        raise DomainError(f"noise amplitude must be a number in [0, 1], got {b!r}")
     p = measure.probs
     k = measure.k
     if b == 0.0:
@@ -533,7 +545,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     if diag_sum <= 0.0:
         raise DegenerateDiagonalError(
             "noise rebalancing divides by p11 + p22, which is zero")
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     offsets = rng.uniform(-b, b, size=k)
     mats = []
     for mu in offsets:
@@ -554,5 +566,5 @@ def noisy_sample(n: int, measure: GeneratingMeasure, b: float, rng=None) -> Grap
     ``fast_sample`` over the measure bit for bit.  The exact noisy draw is
     :func:`naive_sample` over the schedule.
     """
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     return _fast_sample(n, make_noise_schedule(measure, b, rng), rng)

@@ -336,17 +336,19 @@ def test_criterion_09_fast_sampler_scaling():
 
     # CPU time of this process: the ratio measures the sampler's own work,
     # not time spent waiting for a core on a shared machine.
-    times = []
-    for n in (25_000, 50_000, 100_000):
-        meas = measure_for(n)
-        best = math.inf
-        for rep in range(3):
+    # The best of five draws (seeds 99 to 103) at each size, the sizes taken
+    # in turn: on a shared machine a spell of load can slow a 0.13 s draw by
+    # 0.04 s, and taken in turn it slows every size alike.
+    sizes = (25_000, 50_000, 100_000)
+    measures = [measure_for(n) for n in sizes]
+    times = [math.inf] * len(sizes)
+    for rep in range(5):
+        for i, (n, meas) in enumerate(zip(sizes, measures)):
             rng = np.random.default_rng(99 + rep)
             t0 = time.process_time()
             g = mfng.fast_sample(n, meas, rng=rng)
-            best = min(best, time.process_time() - t0)
+            times[i] = min(times[i], time.process_time() - t0)
             assert g.n == n
-        times.append(best)
     r1 = times[1] / times[0]
     r2 = times[2] / times[1]
     ok = r1 <= 2.5 and r2 <= 2.5 and times[2] < 60.0

@@ -129,6 +129,8 @@ PARSER_CASES = {
     "indented comment": ("0 1\n  # note\n2 3\n", [[0, 1], [2, 3]]),
     "hash in a comment": ("# a # b\n0 1\n", [[0, 1]]),
     "signs and blanks": ("+4 -2\n\n   \n007\t1\n", [[4, -2], [7, 1]]),
+    "underscore digits": ("1_0 5\n", 1),
+    "non-ASCII digits": ("\u0663 4\n", 1),
 }
 
 

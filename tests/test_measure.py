@@ -665,6 +665,19 @@ def test_a_schedule_checks_its_levels(matrices, lengths, error):
         NoiseSchedule(matrices, np.zeros(len(matrices)), lengths)
 
 
+def test_a_schedule_checks_its_offsets():
+    # one finite number per level matrix, as a flat vector
+    for offsets in ([1.0, 2.0, 3.0], [0.0], [[0.0, 0.0]], "abc", None,
+                    [float("nan"), 0.0], [0.0, float("inf")], [0.0, "x"]):
+        with pytest.raises(DomainError):
+            NoiseSchedule((HALF, HALF), offsets, [0.5, 0.5])
+    # kept as a read-only copy
+    given = np.array([0.25, -0.5])
+    schedule = NoiseSchedule((HALF, HALF), given, [0.5, 0.5])
+    given[0] = 1.0
+    assert schedule.offsets.tolist() == [0.25, -0.5] and not schedule.offsets.flags.writeable
+
+
 def test_measure_only_closed_forms_refuse_a_schedule_of_many_levels(block_measure):
     # Both need every level alike.  A schedule of k levels raises a typed
     # error; one of a single level is that level's measure at k = 1.

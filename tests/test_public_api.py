@@ -4,17 +4,20 @@ build on, plus the error classes; test-only helpers stay in their modules.
 
 import ast
 import json
+import pickle
 import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfng
 from mfng import errors
 from mfng.cli import main, write_measure
+from mfng.measure import max_depth
 
 LIBRARY_SURFACE = {
     # measures and closed-form expectations
@@ -50,6 +53,45 @@ def test_the_readme_library_example_runs_as_written():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+_MEASURE = mfng.make_measure([0.3, 0.7], [[0.9, 0.4], [0.4, 0.6]], k=3)
+_STAR = mfng.Graph.from_pairs(7, [(0, leaf) for leaf in range(1, 7)])
+
+# Each call takes one integer argument x, an n, d, t or m (FitConfig: every
+# field), and a value of x it accepts.  A numpy m once overflowed max_depth's
+# powers: max_depth(np.int64(3)) read 43, and at m = 2 it never returned.
+INTEGER_CALLS = {
+    "naive_sample": (lambda x: mfng.naive_sample(x, _MEASURE, 0), 5),
+    "fast_sample": (lambda x: mfng.fast_sample(x, _MEASURE, 0), 5),
+    "noisy_sample": (lambda x: mfng.noisy_sample(x, _MEASURE, 0.05, 0), 5),
+    "Graph": (lambda x: mfng.Graph(x, [1, 7]), 5),
+    "count_stars d": (lambda x: mfng.count_stars(_STAR, x), 5),
+    "expected_edges": (lambda x: mfng.expected_edges(_MEASURE, x), 5),
+    "expected_d_stars n": (lambda x: mfng.expected_d_stars(_MEASURE, x, 2), 5),
+    "expected_d_stars d": (lambda x: mfng.expected_d_stars(_MEASURE, 10, x), 5),
+    "expected_t_cliques n": (lambda x: mfng.expected_t_cliques(_MEASURE, x, 3), 5),
+    "expected_t_cliques t": (lambda x: mfng.expected_t_cliques(_MEASURE, 10, x), 5),
+    "expected_feature_vector": (lambda x: mfng.expected_feature_vector(_MEASURE, x), 5),
+    "edge_moments": (lambda x: mfng.edge_moments(_MEASURE, x), 5),
+    "expected_degree_counts": (lambda x: mfng.expected_degree_counts(_MEASURE, x), 5),
+    "estimate_clique_number": (lambda x: mfng.estimate_clique_number(_MEASURE, x), 5),
+    "max_depth": (max_depth, 3),
+    "fit": (lambda x: mfng.fit(mfng.FeatureVector({"edges": 4, "S2": 7}), x,
+                               mfng.FitConfig(m=2, restarts=2)), 5),
+    "depth_candidates": (lambda x: mfng.FitConfig(m=2).depth_candidates(x), 5),
+    "FitConfig": (lambda x: mfng.FitConfig(m=x, k=x, restarts=x, seed=x), 2),
+}
+
+
+@pytest.mark.parametrize("call, good", INTEGER_CALLS.values(), ids=INTEGER_CALLS.keys())
+def test_integer_arguments_take_integers_only(call, good):
+    # A float, a bool or a string is not an integer, even one equal to it.
+    for bad in (2.5, np.float64(3.0), True, "5"):
+        with pytest.raises(errors.DomainError):
+            call(bad)
+    # A numpy integer is read as the int it holds: same value, same types.
+    assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 
 
 # Installs perfbench/launch.py's tracer, which rebinds package functions and

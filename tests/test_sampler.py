@@ -176,6 +176,10 @@ SAMPLERS = [mfng.naive_sample, intersection_sample, mfng.fast_sample, fast_over_
 def test_samplers_share_one_domain(block_measure_k4, sample):
     with pytest.raises(DomainError):
         sample(0, block_measure_k4, np.random.default_rng(0))
+    # seeds numpy refuses
+    for rng in (-1, "abc", 2.5, np.float64(3.0), [1.5]):
+        with pytest.raises(DomainError):
+            sample(10, block_measure_k4, rng)
     g = sample(1, block_measure_k4, np.random.default_rng(0))
     assert (g.n, g.edge_count) == (1, 0)
 
@@ -736,8 +740,9 @@ def test_noise_schedule_clamps_to_unit_interval():
 def test_noise_schedule_rejects_bad_inputs(three_cat_measure, block_measure):
     with pytest.raises(UnsupportedMError):
         make_noise_schedule(three_cat_measure, 0.1, np.random.default_rng(0))
-    with pytest.raises(DomainError):
-        make_noise_schedule(block_measure, 1.5, np.random.default_rng(0))
+    for b in (1.5, -0.1, float("nan"), "0.5", None, True):
+        with pytest.raises(DomainError):
+            make_noise_schedule(block_measure, b, np.random.default_rng(0))
     degenerate = mfng.make_measure([0.5, 0.5], [[0.0, 0.9], [0.9, 0.0]], k=2)
     with pytest.raises(DegenerateDiagonalError):
         make_noise_schedule(degenerate, 0.1, np.random.default_rng(0))
