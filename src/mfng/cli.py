@@ -82,8 +82,9 @@ def read_edge_list(path: str) -> np.ndarray:
     columns.  It is given the path, not the text: from a path numpy reads
     the file in blocks, from a ``StringIO`` line by line, at about half the
     speed.  Anything else, including any failure and a path that numpy
-    would decompress, goes to the line parser, which accepts the same files
-    and names the first bad line in its ``ParseError``.
+    would decompress, goes to the line parser over the same text, which
+    accepts the same files and names the first bad line in its
+    ``ParseError``.
     """
     text = _read_text(path, ParseError)
     if (text.count("#") == text.startswith("#") + text.count("\n#")
@@ -99,13 +100,14 @@ def read_edge_list(path: str) -> np.ndarray:
         else:
             if pairs.shape[1] == 2:
                 return pairs
-    return _read_edge_lines(path)
+    return _read_edge_lines(path, text)
 
 
-def _read_edge_lines(path: str) -> np.ndarray:
-    """The line-by-line parser behind ``read_edge_list``."""
+def _read_edge_lines(path: str, text: str) -> np.ndarray:
+    """The line-by-line parser behind ``read_edge_list``, over the file's
+    text as read from ``path`` (which names the file in errors)."""
     pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(_read_text(path, ParseError).split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -164,7 +166,7 @@ def write_measure(measure: GeneratingMeasure, path: str) -> None:
 
 
 def read_measure(path: str) -> GeneratingMeasure:
-    """Load and validate a measure document."""
+    """Load a measure document and check it as :func:`make_measure` does."""
     try:
         doc = json.loads(_read_text(path, SchemaError))
     except json.JSONDecodeError as exc:
@@ -179,20 +181,10 @@ def read_measure(path: str) -> GeneratingMeasure:
     version = doc["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema_version {version!r}")
-    m, k = doc["m"], doc["k"]
-    if type(m) is not int or type(k) is not int:
-        raise SchemaError(f"{path}: m and k must be integers")
-    lengths = doc["lengths"]
-    probs = doc["probs"]
-    if (not isinstance(lengths, list) or len(lengths) != m
-            or not all(type(x) in (int, float) for x in lengths)):
-        raise SchemaError(f"{path}: lengths must be a list of {m} numbers")
-    if (not isinstance(probs, list) or len(probs) != m
-            or not all(isinstance(row, list) and len(row) == m
-                       and all(type(x) in (int, float) for x in row)
-                       for row in probs)):
-        raise SchemaError(f"{path}: probs must be a {m}x{m} matrix")
-    return make_measure(lengths, probs, k)
+    measure = make_measure(doc["lengths"], doc["probs"], doc["k"])
+    if type(doc["m"]) is not int or doc["m"] != measure.m:
+        raise SchemaError(f"{path}: m={doc['m']!r} but lengths has {measure.m} entries")
+    return measure
 
 
 # Edges formatted per write call; bounds the buffers held in memory at once.

@@ -111,7 +111,12 @@ class Graph:
         return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v, found by a scan over all E edge keys, O(E)."""
+        """Sorted neighbor ids of node v, found by a scan over all E edge
+        keys, O(E).  A v that is not an integer in [0, n) raises
+        ``DomainError``."""
+        v = _check_integer("node v", v, 0)
+        if v >= self._n:
+            raise DomainError(f"node v must be below n = {self._n}, got {v}")
         u, w = divmod(self._keys, np.int64(self._n))
         return np.concatenate([u[w == v], w[u == v]])
 

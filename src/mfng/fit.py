@@ -37,6 +37,7 @@ from .measure import (
     FeatureVector,
     GeneratingMeasure,
     _check_integer,
+    _check_reals,
     _level_bases,
     _log_expected,
     _log_placements,
@@ -263,13 +264,13 @@ class FitResult:
 
 
 def _observed(target: FeatureVector) -> dict[str, float]:
-    """The target's counts by key, each checked to be positive."""
-    observed = {}
-    for key, value in target.items():
-        if not value > 0.0:
+    """The target's counts by key as floats, each checked to be finite and positive."""
+    counts = _check_reals("target counts", list(target.as_dict().values()), None, DomainError)
+    observed = dict(zip(target.keys(), counts.tolist()))
+    for key, count in observed.items():
+        if not count > 0.0:
             raise ZeroTargetFeatureError(
-                f"target feature {key} is {value}; fitted features must be positive")
-        observed[key] = float(value)
+                f"target feature {key} is {target.value(key)}; fitted features must be positive")
     if not observed:
         raise DomainError("no target features to fit")
     return observed

@@ -22,8 +22,9 @@ reads into per-level survivals through ``_level_bases``, the only code that
 computes them, for a stack of lanes, and ``_log_expected`` is the one
 log-space step, log placements + depth * (sum over levels of log base).
 The public closed forms read one model, and the fit's objective evaluates
-many measures, one level each, in one call.  ``edge_moments`` of a schedule
-of k copies of a measure's matrix is the fast sampler's edge target.
+many measures, one level each, in one call.  ``_edge_moments`` of a
+measure's k copies of its matrix, each taken once, is the fast sampler's
+edge target.
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ class GeneratingMeasure:
     Construction checks every field and keeps read-only float copies of the
     arrays: ``lengths`` must be a flat vector of m finite, positive entries
     summing to one within ``LENGTH_SUM_TOLERANCE``; ``probs`` an exactly
-    symmetric m x m matrix in [0, 1]; and ``k`` an integer in
-    [1, max_depth(m)].  A bad field raises a typed
-    ``MeasureValidationError`` (``DomainError`` for a depth below one).
+    symmetric m x m matrix in [0, 1]; ``m`` an integer >= 1; and ``k`` an
+    integer in [1, max_depth(m)].  Array entries must be real numbers (see
+    :func:`_check_reals`).  A bad field raises a typed
+    ``MeasureValidationError`` (``DomainError`` for an m or a k that is not
+    an integer >= 1).
     :func:`make_measure` also renormalises the lengths.
     """
 
@@ -84,11 +87,10 @@ class GeneratingMeasure:
     probs: np.ndarray
 
     def __post_init__(self):
+        m = _check_integer("category count m", self.m, 1)
         lengths = _check_lengths(self.lengths)
-        if self.m != lengths.shape[0]:
-            raise LengthVectorError(
-                f"m={self.m!r} but lengths has {lengths.shape[0]} entries")
-        m = lengths.shape[0]
+        if m != lengths.shape[0]:
+            raise LengthVectorError(f"m={m} but lengths has {lengths.shape[0]} entries")
         probs = _check_probs(self.probs, m)
         k = _check_depth(self.k, m)
         lengths.flags.writeable = False
@@ -122,10 +124,7 @@ class NoiseSchedule:
         matrices = tuple(_check_probs(p, lengths.size) for p in self.level_matrices)
         if not matrices:
             raise DomainError("need at least one level matrix")
-        offsets = _as_floats(self.offsets, DomainError, "offsets")
-        if offsets.shape != (len(matrices),) or not np.all(np.isfinite(offsets)):
-            raise DomainError(f"offsets must be {len(matrices)} finite numbers, one per "
-                              f"level matrix, got {self.offsets!r}")
+        offsets = _check_reals("offsets", self.offsets, (len(matrices),), DomainError)
         offsets.flags.writeable = False
         object.__setattr__(self, "level_matrices", matrices)
         object.__setattr__(self, "offsets", offsets)
@@ -161,7 +160,8 @@ class FeatureVector:
     d-star counts "S<d>" by d, then the t-clique counts "C<t>" by t.  Every
     key is checked by :func:`parse_feature` once, on construction, and a
     key given twice (say "S2" and "S02") keeps its last value.  Values may
-    be exact integers (graph counts) or floats (expectations).
+    be exact integers (graph counts) or floats (expectations), and any other
+    value, a bool or a string say, raises ``DomainError``.
     """
 
     data: Mapping[str, float] = field(default_factory=dict)
@@ -170,6 +170,8 @@ class FeatureVector:
         ranked = {}
         for key, value in self.data.items():
             kind, order = parse_feature(key)
+            if not _is_real(value):
+                raise DomainError(f"feature {key} must be a real number, got {value!r}")
             ranked[(_KINDS.index(kind), order)] = (_feature_key(kind, order), value)
         object.__setattr__(self, "data", dict(ranked[rank] for rank in sorted(ranked)))
 
@@ -234,24 +236,39 @@ def max_depth(m: int) -> int:
     return k
 
 
-def _as_floats(values, error: type[ValueError], what: str) -> np.ndarray:
-    """values as a new float array; ragged, non-numeric or out-of-float-range
-    input raises error."""
+def _is_real(value) -> bool:
+    """Whether value is a real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_reals(what: str, values, shape: tuple[int, ...] | None, error: type[ValueError],
+                 low: float = -math.inf, high: float = math.inf) -> np.ndarray:
+    """values as a new float array of ``shape`` (None: a flat vector of any
+    length) whose entries are real numbers (see :func:`_is_real`), finite
+    and in [low, high]; anything else, a ragged nest or a number beyond the
+    float range included, raises ``error``."""
     try:
-        return np.array(values, dtype=float)
+        cells = np.array(values, dtype=object)
+        for value in cells.flat:
+            if not _is_real(value):
+                raise TypeError(f"{value!r} is not a real number")
+        reals = cells.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
+    if (reals.ndim != 1) if shape is None else (reals.shape != shape):
+        want = "a flat vector" if shape is None else f"of shape {shape}"
+        raise error(f"{what} must be {want}, got shape {reals.shape}")
+    if not np.all(np.isfinite(reals)) or np.any(reals < low) or np.any(reals > high):
+        raise error(f"{what} must be finite and lie in [{low:g}, {high:g}], got {values!r}")
+    return reals
 
 
 def _check_lengths(lengths) -> np.ndarray:
     """Interval lengths as floats, checked to be a flat vector of finite,
     strictly positive entries summing to 1 within ``LENGTH_SUM_TOLERANCE``."""
-    lengths = _as_floats(lengths, LengthVectorError, "lengths")
-    if lengths.ndim != 1:
-        raise LengthVectorError(
-            f"lengths must be a flat vector, got shape {lengths.shape}")
-    if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
-        raise LengthVectorError("interval lengths must be finite and strictly positive")
+    lengths = _check_reals("lengths", lengths, None, LengthVectorError)
+    if np.any(lengths <= 0.0):
+        raise LengthVectorError("interval lengths must be strictly positive")
     total = float(lengths.sum())
     if abs(total - 1.0) > LENGTH_SUM_TOLERANCE:
         raise LengthVectorError(
@@ -262,14 +279,7 @@ def _check_lengths(lengths) -> np.ndarray:
 def _check_probs(probs, m: int) -> np.ndarray:
     """A link-probability matrix as floats, checked to be m x m, finite,
     within [0, 1] and exactly symmetric."""
-    probs = _as_floats(probs, ProbabilityRangeError, "probs")
-    if probs.shape != (m, m):
-        raise ProbabilityRangeError(
-            f"probs must be a {m}x{m} matrix, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ProbabilityRangeError("link probabilities must be finite")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ProbabilityRangeError("link probabilities must lie in [0, 1]")
+    probs = _check_reals("probs", probs, (m, m), ProbabilityRangeError, 0.0, 1.0)
     if not np.array_equal(probs, probs.T):
         raise NonSymmetricError("link-probability matrix must be exactly symmetric")
     return probs
@@ -303,10 +313,14 @@ def _model_levels(model: GeneratingMeasure | NoiseSchedule
     from a schedule: its level matrices, its lengths and the depth each
     matrix is taken, a measure's one matrix k times and each of a
     schedule's once.  ``matrices * depth`` is then the matrix of every
-    level in order.  Both models were checked when they were built."""
+    level in order.  Both models were checked when they were built;
+    anything else raises ``DomainError``."""
     if isinstance(model, NoiseSchedule):
         return model.level_matrices, model.lengths, 1
-    return (model.probs,), model.lengths, model.k
+    if isinstance(model, GeneratingMeasure):
+        return (model.probs,), model.lengths, model.k
+    raise DomainError(f"a model must be a GeneratingMeasure or a NoiseSchedule, "
+                      f"got {type(model).__name__}")
 
 
 def _one_matrix(model: GeneratingMeasure | NoiseSchedule,
@@ -325,17 +339,18 @@ def edge_survival_factor(measure: GeneratingMeasure) -> float:
     """Per-level probability that one node pair survives: sum p_ij l_i l_j.
     A schedule of more than one level has no one such factor and raises
     ``DomainError``."""
-    _one_matrix(measure, "edge_survival_factor")
-    return _level_survivals(measure, [("edges", 0)])[0].item()
+    probs, lengths, _ = _one_matrix(measure, "edge_survival_factor")
+    return _level_survivals(((probs,), lengths, 1), [("edges", 0)])[0].item()
 
 
-def _level_survivals(model: GeneratingMeasure | NoiseSchedule,
+def _level_survivals(levels: tuple[Sequence[np.ndarray], np.ndarray, int],
                      features: Sequence[tuple[str, int]]) -> tuple[np.ndarray, int]:
-    """Each feature's survival at each of a model's level matrices, a
-    C-ordered (features, levels) array, and the depth every level is taken
-    (see :func:`_model_levels`).  Each row's level sum then takes the same
-    steps whatever other features are asked for."""
-    matrices, lengths, depth = _model_levels(model)
+    """Each feature's survival at each level matrix of a model read as
+    ``(matrices, lengths, depth)`` (see :func:`_model_levels`), a C-ordered
+    (features, levels) array, and the depth every level is taken.  Each
+    row's level sum then takes the same steps whatever other features are
+    asked for."""
+    matrices, lengths, depth = levels
     lengths = np.broadcast_to(lengths, (len(matrices), lengths.size))
     return np.ascontiguousarray(_level_bases(np.stack(matrices), lengths, features).T), depth
 
@@ -441,7 +456,7 @@ def _expected(model: GeneratingMeasure | NoiseSchedule, n: int,
     feature and n.
     """
     log_placements = np.array([_log_placements(kind, order, n) for kind, order in features])
-    bases, depth = _level_survivals(model, features)
+    bases, depth = _level_survivals(_model_levels(model), features)
     with np.errstate(over="ignore"):
         values = np.exp(_log_expected(log_placements, depth, bases))
     for feature, value in zip(features, values):
@@ -473,9 +488,11 @@ def expected_t_cliques(measure: GeneratingMeasure, n: int, t: int) -> float:
     return float(_expected(measure, n, [("clique", t)])[0])
 
 
-def _edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMoments:
-    """Edge-count moments on n nodes.  Every level's pair survival s_r and
-    wedge excess d_r = w_r - s_r**2 (w_r the wedge survival) come from
+def _edge_moments(levels: tuple[Sequence[np.ndarray], np.ndarray, int],
+                  n: int) -> EdgeMoments:
+    """Edge-count moments on n nodes of a model read as ``(matrices,
+    lengths, depth)``.  Every level's pair survival s_r and wedge excess
+    d_r = w_r - s_r**2 (w_r the wedge survival) come from
     :func:`_level_survivals`, and their logs are summed, each level taken
     its depth times.
 
@@ -486,7 +503,7 @@ def _edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMomen
     W - S**2 = S**2 * expm1(sum_r log1p(d_r / s_r**2)) with d_r summed from
     squares.  A pair that cannot survive (S = 0) gives moments (0, 0, 0).
     """
-    (pair, excess), depth = _level_survivals(model, (("edges", 0), ("wedge_excess", 2)))
+    (pair, excess), depth = _level_survivals(levels, (("edges", 0), ("wedge_excess", 2)))
     if not np.all(pair > 0.0):
         return EdgeMoments(mean=0.0, variance=0.0, std=0.0)
     log_s = float(_log_expected(0.0, depth, pair))
@@ -508,7 +525,8 @@ def _edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMomen
 def edge_moments(model: GeneratingMeasure | NoiseSchedule, n: int) -> EdgeMoments:
     """Edge-count mean and variance of a measure or a noise schedule (see
     :func:`_edge_moments`)."""
-    return _edge_moments(model, _check_integer("node count n", n, 2))
+    n = _check_integer("node count n", n, 2)
+    return _edge_moments(_model_levels(model), n)
 
 
 def expected_degree_counts(measure: GeneratingMeasure, n: int) -> np.ndarray:
@@ -566,10 +584,11 @@ def estimate_clique_number(measure: GeneratingMeasure | NoiseSchedule,
     enumeration cap min(n, MAX_CLIQUE_ORDER).
     """
     n = _check_integer("node count n", n, 1)
+    levels = _model_levels(measure)
     cap = min(n, MAX_CLIQUE_ORDER)
     t_star = 1
     for t in range(2, cap + 1):
-        bases, depth = _level_survivals(measure, [("clique", t)])
+        bases, depth = _level_survivals(levels, [("clique", t)])
         if _log_expected(_log_placements("clique", t, n), depth, bases)[0] < 0.0:
             break
         t_star = t

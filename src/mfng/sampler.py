@@ -28,8 +28,8 @@ exact sampler and one approximate one:
   work, pick category boxes with probability proportional to their expected
   edge mass and drop a Poisson number of edges into each, until exactly the
   target is placed.  Expected O(|E| log |V|) work.  The target's mean and
-  variance are ``edge_moments`` of the schedule of level matrices (a
-  measure's k copies of its matrix, each taken once).  A run whose
+  variance are the edge moments of the level matrices, each taken once (a
+  measure's k copies of its matrix).  A run whose
   expected edge count is beyond ``_MAX_EXPECTED_BOXES`` raises
   ``TooLargeError`` before any draw.
   A box's pair of category tuples is drawn a group of levels at a time:
@@ -57,7 +57,6 @@ amplitude 0 consumes no randomness, so ``noisy_sample`` at b = 0 reproduces
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,8 +65,8 @@ import numpy as np
 from .errors import (DegenerateDiagonalError, DomainError, StalledError, TooLargeError,
                      UnsupportedMError)
 from .features import Graph, _search_sorted
-from .measure import (GeneratingMeasure, NoiseSchedule, _check_integer, _edge_moments,
-                      _model_levels)
+from .measure import (GeneratingMeasure, NoiseSchedule, _check_integer, _check_reals,
+                      _edge_moments, _model_levels, _one_matrix)
 
 # Poisson rates are clipped here; placement caps the damage anyway and numpy
 # rejects absurd rates outright.
@@ -416,9 +415,9 @@ def _fast_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng) -> Graph
     self-pair, an edge of an earlier round, or a pair already taken in this
     round; within one pass the earliest box wins.  Edges count in box order
     and the run stops at exactly the drawn target, drawn from the edge
-    moments of the k level matrices each taken once: a measure's are those
-    of its schedule of k copies, which sums k logs where the measure's
-    closed form takes one log k times.
+    moments of the k level matrices each taken once: a measure's k copies
+    of its matrix, which sums k logs where the measure's closed form takes
+    one log k times.
     """
     n = _check_integer("node count n", n, 1)
     rng = _generator(rng)
@@ -426,7 +425,7 @@ def _fast_sample(n: int, model: GeneratingMeasure | NoiseSchedule, rng) -> Graph
     matrices = matrices * depth
     m, k = lengths.size, len(matrices)
 
-    moments = _edge_moments(NoiseSchedule(matrices, np.zeros(k), lengths), n)
+    moments = _edge_moments((matrices, lengths, 1), n)
     if moments.mean > _MAX_EXPECTED_BOXES:
         raise TooLargeError(
             f"{moments.mean:.6g} expected edges ask for more than "
@@ -530,17 +529,16 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
     randomness, so at zero amplitude every sampler draws over it the graph
     it draws over the measure.  A schedule is a model: the closed forms and
     the samplers take it where they take a measure.  b must be a real
-    number (not a bool) in [0, 1]; anything else raises ``DomainError``.
+    number in [0, 1] (see ``measure._check_reals``), and the model a measure
+    (or a one-level schedule); anything else raises ``DomainError``.
     """
-    if measure.m != 2:
+    p, lengths, k = _one_matrix(measure, "make_noise_schedule")
+    if lengths.size != 2:
         raise UnsupportedMError(
-            f"noise schedules are defined for m = 2 measures, got m = {measure.m}")
-    if not (isinstance(b, numbers.Real) and not isinstance(b, bool) and 0.0 <= b <= 1.0):
-        raise DomainError(f"noise amplitude must be a number in [0, 1], got {b!r}")
-    p = measure.probs
-    k = measure.k
+            f"noise schedules are defined for m = 2 measures, got m = {lengths.size}")
+    b = float(_check_reals("noise amplitude b", b, (), DomainError, 0.0, 1.0))
     if b == 0.0:
-        return NoiseSchedule((p,) * k, np.zeros(k), measure.lengths)
+        return NoiseSchedule((p,) * k, np.zeros(k), lengths)
     diag_sum = float(p[0, 0] + p[1, 1])
     if diag_sum <= 0.0:
         raise DegenerateDiagonalError(
@@ -554,7 +552,7 @@ def make_noise_schedule(measure: GeneratingMeasure, b: float, rng=None) -> Noise
             [p[1, 0] + mu, p[1, 1] - 2.0 * mu * p[1, 1] / diag_sum],
         ])
         mats.append(np.clip(shifted, 0.0, 1.0))
-    return NoiseSchedule(tuple(mats), offsets, measure.lengths)
+    return NoiseSchedule(tuple(mats), offsets, lengths)
 
 
 def noisy_sample(n: int, measure: GeneratingMeasure, b: float, rng=None) -> Graph:

@@ -19,6 +19,7 @@ from mfng.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     _read_edge_lines,
+    _read_text,
     main,
     read_edge_list,
     read_measure,
@@ -112,6 +113,11 @@ def test_edge_list_parser_skips_comments_and_blanks(tmp_path):
     assert read_edge_list(str(path)).tolist() == [[0, 1], [2, 3]]
 
 
+def read_edge_lines(path):
+    """The line parser alone, over the text read_edge_list reads."""
+    return _read_edge_lines(path, _read_text(path, ParseError))
+
+
 # text -> the pairs both parsers return, or the line their ParseError names
 PARSER_CASES = {
     "inline comment": ("0 1 # x\n", 1),
@@ -139,18 +145,18 @@ def test_fast_edge_list_parse_matches_the_line_parser(tmp_path, text, want):
     path = tmp_path / "g.tsv"
     path.write_bytes(text.encode())
     if isinstance(want, int):
-        for parser in (read_edge_list, _read_edge_lines):
+        for parser in (read_edge_list, read_edge_lines):
             with pytest.raises(ParseError) as err:
                 parser(str(path))
             assert err.value.line == want, parser.__name__
         return
-    for parser in (read_edge_list, _read_edge_lines):
+    for parser in (read_edge_list, read_edge_lines):
         pairs = parser(str(path))
         assert pairs.dtype == np.int64 and pairs.shape == (len(want), 2), parser.__name__
         assert pairs.tolist() == want, parser.__name__
 
 
-def no_line_parse(path):
+def no_line_parse(path, text):
     raise AssertionError("fell back to the line parser")
 
 
@@ -528,6 +534,26 @@ def test_data_error_number_beyond_the_float_range(capsys, tmp_path, lengths, pro
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "rectangular array of numbers" in err
+
+
+@pytest.mark.parametrize("field", ["lengths", "probs"])
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize("whole", [True, False], ids=["field", "entry"])
+def test_data_error_measure_numbers_that_are_not_numbers(capsys, tmp_path, field, bad, whole):
+    # The measure's own checks read the file's numbers, in place of the whole
+    # field or as its last entry ([0.5, true] for the lengths).
+    doc = {"schema_version": 1, "m": 2, "k": 2, "lengths": [0.5, 0.5],
+           "probs": [[0.5, 0.5], [0.5, 0.5]]}
+    if whole:
+        doc[field] = bad
+    else:
+        (doc[field][-1] if field == "probs" else doc[field])[-1] = bad
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "moments", "--measure", str(path), "--nodes", "10")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_data_error_edge_list_not_utf8(capsys, tmp_path):

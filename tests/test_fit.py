@@ -275,6 +275,10 @@ def test_batched_objective_matches_the_scalar_objective(m, n, features):
     ({"edges": 10.0, "C9": 1.0}, CliqueSizeError),
     ({"edges": 10.0, "S20": 1.0}, DomainError),
     ({"edges": 10.0, "C3": 0.0}, ZeroTargetFeatureError),
+    # a count that is not a finite float was read as inf, nan or a bare OverflowError
+    ({"edges": 10.0, "C3": float("inf")}, DomainError),
+    ({"edges": 10.0, "C3": float("nan")}, DomainError),
+    ({"edges": 10 ** 400, "C3": 3}, DomainError),
 ])
 def test_bad_target_raises_before_any_search(monkeypatch, features, error):
     def no_search(fun, x0):

@@ -17,7 +17,8 @@ import pytest
 import mfng
 from mfng import errors
 from mfng.cli import main, write_measure
-from mfng.measure import max_depth
+from mfng.measure import NoiseSchedule, max_depth
+from mfng.sampler import make_noise_schedule
 
 LIBRARY_SURFACE = {
     # measures and closed-form expectations
@@ -81,6 +82,9 @@ INTEGER_CALLS = {
                                mfng.FitConfig(m=2, restarts=2)), 5),
     "depth_candidates": (lambda x: mfng.FitConfig(m=2).depth_candidates(x), 5),
     "FitConfig": (lambda x: mfng.FitConfig(m=x, k=x, restarts=x, seed=x), 2),
+    "GeneratingMeasure m": (lambda x: mfng.GeneratingMeasure(
+        m=x, k=3, lengths=_MEASURE.lengths, probs=_MEASURE.probs), 2),
+    "Graph.neighbors": (_STAR.neighbors, 0),
 }
 
 
@@ -92,6 +96,108 @@ def test_integer_arguments_take_integers_only(call, good):
             call(bad)
     # A numpy integer is read as the int it holds: same value, same types.
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+
+@pytest.mark.parametrize("v", [-1, 7])
+def test_neighbors_takes_a_node_of_the_graph(v):
+    # Nodes are 0 .. n-1; -1 and n once gave an empty neighbor list.
+    with pytest.raises(errors.DomainError):
+        _STAR.neighbors(v)
+
+
+_HALF = [[0.5, 0.5], [0.5, 0.5]]
+
+# Each call takes one argument x made of real numbers (an array, or a
+# scalar), a value of x it accepts (None: the call keeps x as given), and
+# the typed error it raises for anything else.
+REAL_CALLS = {
+    "make_measure lengths": (lambda x: mfng.make_measure(x, _HALF, 2), [0.5, 0.5],
+                             errors.LengthVectorError),
+    "make_measure probs": (lambda x: mfng.make_measure([0.5, 0.5], x, 2),
+                           [[1.0, 0.5], [0.5, 0.0]], errors.ProbabilityRangeError),
+    "GeneratingMeasure lengths": (
+        lambda x: mfng.GeneratingMeasure(m=2, k=2, lengths=x, probs=_HALF), [0.5, 0.5],
+        errors.LengthVectorError),
+    "GeneratingMeasure probs": (
+        lambda x: mfng.GeneratingMeasure(m=2, k=2, lengths=[0.5, 0.5], probs=x),
+        [[1.0, 0.5], [0.5, 0.0]], errors.ProbabilityRangeError),
+    "NoiseSchedule level matrix": (lambda x: NoiseSchedule((_HALF, x), [0.0, 0.0], [0.5, 0.5]),
+                                   [[1.0, 0.5], [0.5, 0.0]], errors.ProbabilityRangeError),
+    "NoiseSchedule lengths": (lambda x: NoiseSchedule((_HALF,), [0.0], x), [0.5, 0.5],
+                              errors.LengthVectorError),
+    "NoiseSchedule offsets": (lambda x: NoiseSchedule((_HALF, _HALF), x, [0.5, 0.5]),
+                              [0.0, -0.25], errors.DomainError),
+    "make_noise_schedule b": (lambda x: make_noise_schedule(_MEASURE, x, 0), 0.25,
+                              errors.DomainError),
+    "noisy_sample b": (lambda x: mfng.noisy_sample(50, _MEASURE, x, 0), 0.25, errors.DomainError),
+    "FeatureVector value": (lambda x: mfng.FeatureVector({"edges": x}), None, errors.DomainError),
+    "fit target": (lambda x: mfng.fit(mfng.FeatureVector({"edges": x, "S2": 7}), 10,
+                                      mfng.FitConfig(m=2, restarts=2)), 4.0, errors.DomainError),
+}
+
+
+def _with_last(value, entry):
+    """A nested list value with its last entry replaced, or entry itself
+    for a scalar value."""
+    return [*value[:-1], _with_last(value[-1], entry)] if np.ndim(value) else entry
+
+
+def _numpy_form(value):
+    """A nested list value with every whole entry a numpy int and every
+    other a numpy float."""
+    if np.ndim(value):
+        return [_numpy_form(entry) for entry in value]
+    return np.int64(value) if float(value).is_integer() else np.float64(value)
+
+
+@pytest.mark.parametrize("call, good, error", REAL_CALLS.values(), ids=REAL_CALLS.keys())
+def test_real_arguments_take_real_numbers_only(call, good, error):
+    # A string, a bool or None is not a real number, in place of the whole
+    # argument or as one entry of it, as in [0.5, True].
+    for bad in ("0.5", True, np.bool_(True), None):
+        for value in (bad, _with_last(good, bad)):
+            with pytest.raises(error):
+                call(value)
+    # Numpy ints and floats are read as the floats they hold.
+    if good is not None:
+        assert pickle.dumps(call(_numpy_form(good))) == pickle.dumps(call(good))
+
+
+def test_feature_values_are_kept_as_given():
+    # FeatureVector keeps each value as given; an exact integer count beyond
+    # the float range is still a count.
+    assert mfng.FeatureVector({"edges": 10 ** 400}).value("edges") == 10 ** 400
+    assert type(mfng.FeatureVector({"edges": np.int64(3)}).value("edges")) is np.int64
+
+
+MODEL_CALLS = {
+    "expected_edges": lambda model: mfng.expected_edges(model, 10),
+    "expected_d_stars": lambda model: mfng.expected_d_stars(model, 10, 2),
+    "expected_t_cliques": lambda model: mfng.expected_t_cliques(model, 10, 3),
+    "expected_feature_vector": lambda model: mfng.expected_feature_vector(model, 10),
+    "edge_moments": lambda model: mfng.edge_moments(model, 10),
+    "edge_survival_factor": mfng.edge_survival_factor,
+    "expected_degree_counts": lambda model: mfng.expected_degree_counts(model, 10),
+    "estimate_clique_number": lambda model: mfng.estimate_clique_number(model, 1),
+    "naive_sample": lambda model: mfng.naive_sample(10, model, 0),
+    "fast_sample": lambda model: mfng.fast_sample(10, model, 0),
+    "noisy_sample": lambda model: mfng.noisy_sample(10, model, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("call", MODEL_CALLS.values(), ids=MODEL_CALLS.keys())
+def test_a_model_is_a_measure_or_a_schedule(call):
+    # Each once raised AttributeError; the measure's matrix alone is not a model.
+    for bad in ("abc", None, _MEASURE.probs):
+        with pytest.raises(errors.DomainError):
+            call(bad)
+
+
+def test_noise_needs_a_measure():
+    # A schedule of several levels has no one matrix to perturb.
+    schedule = make_noise_schedule(_MEASURE, 0.1, 0)
+    with pytest.raises(errors.DomainError):
+        mfng.noisy_sample(10, schedule, 0.1, 0)
 
 
 # Installs perfbench/launch.py's tracer, which rebinds package functions and
@@ -203,8 +309,9 @@ def test_only_features_builds_a_graph_from_pairs():
 
 def test_only_the_model_reader_tells_a_measure_from_a_schedule():
     # measure._model_levels reads either model as (level matrices, lengths,
-    # depth); closed forms and samplers go through it.  oracle.py is the
-    # independent reference and reads the models itself.
+    # depth), one branch for each, and refuses anything else; closed forms
+    # and samplers go through it.  oracle.py is the independent reference
+    # and reads the models itself.
     package = Path(mfng.__file__).parent
     models = {"GeneratingMeasure", "NoiseSchedule"}
     branches = []
@@ -218,7 +325,7 @@ def test_only_the_model_reader_tells_a_measure_from_a_schedule():
                         and models & {getattr(name, "id", getattr(name, "attr", None))
                                       for name in ast.walk(node.args[1])}):
                     branches.append((path.name, getattr(top, "name", None)))
-    assert branches == [("measure.py", "_model_levels")]
+    assert branches == [("measure.py", "_model_levels")] * 2
 
 
 def test_only_the_reader_and_the_fit_compute_level_bases():

@@ -775,27 +775,27 @@ def test_noisy_is_fast_over_its_own_schedule(block_measure):
 
 
 def test_fast_target_reads_the_edge_moments_of_the_level_matrices(block_measure, monkeypatch):
-    # A measure's target comes from the schedule of its k copies, not from
+    # A measure's target comes from its k copies each taken once, not from
     # the measure at depth k, and a noisy draw's from its own schedule.
     # The two differ only in the last bits, which no graph shows.
     seen = []
     edge_moments = sampler._edge_moments
 
-    def spy(model, n):
-        seen.append(model)
-        return edge_moments(model, n)
+    def spy(levels, n):
+        seen.append(levels)
+        return edge_moments(levels, n)
 
     monkeypatch.setattr(sampler, "_edge_moments", spy)
     mfng.fast_sample(300, block_measure, rng=np.random.default_rng(3))
     schedule = make_noise_schedule(block_measure, 0.05, np.random.default_rng(4))
     mfng.noisy_sample(300, block_measure, 0.05, rng=np.random.default_rng(4))
     assert len(seen) == 2
-    for model, want in zip(seen, (k_copies(block_measure), schedule)):
-        assert isinstance(model, NoiseSchedule)
-        assert len(model.level_matrices) == len(want.level_matrices)
-        for got, level in zip(model.level_matrices, want.level_matrices):
+    for (matrices, lengths, depth), want in zip(seen, (k_copies(block_measure), schedule)):
+        assert depth == 1
+        assert len(matrices) == len(want.level_matrices)
+        for got, level in zip(matrices, want.level_matrices):
             np.testing.assert_array_equal(got, level)
-        np.testing.assert_array_equal(model.lengths, want.lengths)
+        np.testing.assert_array_equal(lengths, want.lengths)
 
 
 def test_noisy_zero_amplitude_reproduces_intersection(block_measure_k4):
